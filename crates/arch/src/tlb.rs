@@ -279,14 +279,14 @@ impl accelflow_sim::snapshot::Snapshot for Tlb {
         };
         let mut tags = vec![empty; n_sets * ways];
         let mut lens = vec![0u16; n_sets];
-        for s in 0..n_sets {
+        for (s, set_len) in lens.iter_mut().enumerate() {
             let len = r.u16()?;
             if len as usize > ways {
                 return Err(SnapshotError::Corrupt(format!(
                     "TLB set {s} occupancy {len} exceeds {ways} ways"
                 )));
             }
-            lens[s] = len;
+            *set_len = len;
             let base = s * ways;
             for i in 0..len as usize {
                 tags[base + i] = TlbTag {

@@ -167,19 +167,24 @@ pub fn max_throughput(policy: Policy, services: &[ServiceSpec], slo_mult: f64, s
 /// window), so the speculative walk lands on exactly the probes the
 /// sequential search would have made and returns a bit-identical
 /// result — it only trades redundant probe work for wall-clock.
+///
+/// Probes always warm-start from a shared prefix snapshot; see
+/// [`max_throughput_with_mode`] for the cold path.
 pub fn max_throughput_with(
     cfg: &MachineConfig,
     services: &[ServiceSpec],
     slo_mult: f64,
     seed: u64,
 ) -> f64 {
-    max_throughput_with_mode(cfg, services, slo_mult, seed, warm_start_enabled())
+    max_throughput_with_mode(cfg, services, slo_mult, seed, true)
 }
 
-/// [`max_throughput_with`] with the warm-start mode pinned explicitly
-/// (instead of read from `ACCELFLOW_WARM_START`) — for the determinism
-/// suite's warm-vs-cold equality check and the `bench_record` speedup
-/// measurement.
+/// [`max_throughput_with`] with the warm-start mode explicit. With
+/// `warm = false` every probe re-simulates the shared prefix instead of
+/// forking it from a snapshot — same two-phase code path, byte-identical
+/// results (pinned in the bench determinism suite), just slower. The
+/// cold mode is the honest baseline for the warm-start speedup row in
+/// `docs/BENCHMARKS.md`.
 pub fn max_throughput_with_mode(
     cfg: &MachineConfig,
     services: &[ServiceSpec],
@@ -206,19 +211,6 @@ const BISECT_STEPS: usize = 7;
 /// search and can be simulated once.
 const PREFIX_RPS: f64 = 400.0;
 
-/// Whether throughput-search probes warm-start from a shared prefix
-/// snapshot. On by default; `ACCELFLOW_WARM_START=0` (or `off`/
-/// `false`) re-simulates the prefix per probe — same two-phase code
-/// path, byte-identical results (pinned in the bench determinism
-/// suite), just slower. The cold mode is the honest baseline for the
-/// warm-start speedup row in `docs/BENCHMARKS.md`.
-pub fn warm_start_enabled() -> bool {
-    !matches!(
-        std::env::var("ACCELFLOW_WARM_START").as_deref(),
-        Ok("0") | Ok("off") | Ok("false")
-    )
-}
-
 /// The shared probe prefix of one throughput search: `cfg.warmup` of
 /// arrivals at the fixed [`PREFIX_RPS`], simulated once and
 /// snapshotted when `warm` (see [`sweep::WarmStart`]).
@@ -238,12 +230,7 @@ fn probe_prefix(
     let mut timing = ServiceTimeModel::calibrated(cfg.arch.core_clock);
     timing.set_speedup_scale(cfg.speedup_scale);
     let prefix = accelflow_core::arrivals::poisson_arrivals(
-        services,
-        &lib,
-        &timing,
-        PREFIX_RPS,
-        cfg.warmup,
-        seed,
+        services, &lib, &timing, PREFIX_RPS, cfg.warmup, seed,
     );
     sweep::WarmStart::new(
         cfg.clone(),

@@ -155,24 +155,34 @@ impl Shard {
         Shard { count: 1, index: 0 }
     }
 
-    /// Reads `ACCELFLOW_SHARDS` (total processes, default 1; values
-    /// below 1 are treated as 1) and `ACCELFLOW_SHARD_INDEX` (this
-    /// process, default 0).
+    /// Reads `ACCELFLOW_SHARDS` (total processes, default 1) and
+    /// `ACCELFLOW_SHARD_INDEX` (this process, default 0).
     ///
     /// # Panics
     ///
-    /// Panics when the index is not below the count — a misconfigured
-    /// launcher must fail loudly, not silently compute nothing.
+    /// Panics, naming the offending variable, when either value is not
+    /// a non-negative integer, when the count is zero, or when the index
+    /// is not below the count — a misconfigured launcher must fail
+    /// loudly, not silently compute another shard's rows (or nothing).
     pub fn from_env() -> Self {
-        let count = std::env::var("ACCELFLOW_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1)
-            .max(1);
-        let index = std::env::var("ACCELFLOW_SHARD_INDEX")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0);
+        let count = std::env::var("ACCELFLOW_SHARDS").ok();
+        let index = std::env::var("ACCELFLOW_SHARD_INDEX").ok();
+        Self::parse(count.as_deref(), index.as_deref())
+    }
+
+    /// [`Shard::from_env`] over the raw variable values (`None` when
+    /// unset), free of the process environment.
+    fn parse(count: Option<&str>, index: Option<&str>) -> Self {
+        let read = |var: &str, value: Option<&str>, default: usize| {
+            value.map_or(default, |v| {
+                v.trim()
+                    .parse::<usize>()
+                    .unwrap_or_else(|_| panic!("{var}={v:?} is not a non-negative integer"))
+            })
+        };
+        let count = read("ACCELFLOW_SHARDS", count, 1);
+        let index = read("ACCELFLOW_SHARD_INDEX", index, 0);
+        assert!(count >= 1, "ACCELFLOW_SHARDS=0 must be at least 1");
         assert!(
             index < count,
             "ACCELFLOW_SHARD_INDEX={index} must be below ACCELFLOW_SHARDS={count}"
@@ -472,21 +482,41 @@ mod tests {
 
     #[test]
     fn shard_env_defaults_and_validates() {
-        with_env(&[("ACCELFLOW_SHARDS", "3"), ("ACCELFLOW_SHARD_INDEX", "2")], || {
-            assert_eq!(Shard::from_env(), Shard { count: 3, index: 2 });
-        });
-        with_env(&[("ACCELFLOW_SHARDS", "0"), ("ACCELFLOW_SHARD_INDEX", "0")], || {
-            assert!(Shard::from_env().is_whole(), "count clamps up to 1");
-        });
+        with_env(
+            &[("ACCELFLOW_SHARDS", "3"), ("ACCELFLOW_SHARD_INDEX", "2")],
+            || {
+                assert_eq!(Shard::from_env(), Shard { count: 3, index: 2 });
+            },
+        );
+        assert!(Shard::parse(None, None).is_whole());
+        assert_eq!(
+            Shard::parse(Some(" 4 "), Some("1")),
+            Shard { count: 4, index: 1 }
+        );
     }
 
     #[test]
+    #[should_panic(expected = "ACCELFLOW_SHARD_INDEX=\"1x\" is not a non-negative integer")]
+    fn unparsable_shard_index_is_rejected() {
+        Shard::parse(Some("2"), Some("1x"));
+    }
+
+    #[test]
+    #[should_panic(expected = "ACCELFLOW_SHARDS=\"two\" is not a non-negative integer")]
+    fn unparsable_shard_count_is_rejected() {
+        Shard::parse(Some("two"), Some("0"));
+    }
+
+    #[test]
+    #[should_panic(expected = "ACCELFLOW_SHARDS=0 must be at least 1")]
+    fn zero_shard_count_is_rejected() {
+        Shard::parse(Some("0"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "ACCELFLOW_SHARD_INDEX=2 must be below ACCELFLOW_SHARDS=2")]
     fn out_of_range_shard_index_is_rejected() {
-        // catch_unwind instead of should_panic so with_env still
-        // restores the process-global vars afterwards.
-        with_env(&[("ACCELFLOW_SHARDS", "2"), ("ACCELFLOW_SHARD_INDEX", "2")], || {
-            assert!(std::panic::catch_unwind(Shard::from_env).is_err());
-        });
+        Shard::parse(Some("2"), Some("2"));
     }
 
     #[test]

@@ -598,9 +598,9 @@ impl Snapshot for Violation {
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let tag = r.u8()? as usize;
-        let invariant = *INVARIANTS.get(tag).ok_or_else(|| {
-            SnapshotError::Corrupt(format!("unknown invariant tag {tag}"))
-        })?;
+        let invariant = *INVARIANTS
+            .get(tag)
+            .ok_or_else(|| SnapshotError::Corrupt(format!("unknown invariant tag {tag}")))?;
         Ok(Violation {
             invariant,
             at: SimTime::load(r)?,

@@ -1,20 +1,17 @@
 //! Cluster-level placement strategies.
 //!
-//! Mirrors the [`Orchestrator`](crate::machine::orchestrator) pattern
-//! one level up: every fleet design the cluster evaluates differs only
-//! in *where the front-end dispatcher sends the next request*, so that
-//! seam is one stateless strategy object per [`BalancerKind`],
-//! consulted once per dispatched arrival. All mutable placement state
-//! (the round-robin cursor, the dispatcher's private RNG stream) lives
-//! in the cluster and is lent to the strategy through a
-//! [`PlacementView`] for the duration of one decision.
+//! Every fleet design the cluster evaluates differs only in *where the
+//! front-end dispatcher sends the next request*, so that seam is one
+//! method, [`BalancerKind::pick`], consulted once per dispatched
+//! arrival — the same shape as [`Policy`](crate::policy::Policy) one
+//! level down. All mutable placement state (the round-robin cursor,
+//! the dispatcher's private RNG stream) lives in the cluster and is
+//! lent to the pick through a [`PlacementView`] for the duration of
+//! one decision.
 //!
 //! # Contract
 //!
-//! * Implementations are zero-sized and `'static`; construction goes
-//!   through [`balancer_for`], the single site mapping kind to
-//!   behavior.
-//! * [`Balancer::pick`] is consulted with *every* node visible,
+//! * [`BalancerKind::pick`] is consulted with *every* node visible,
 //!   healthy or not; health-based relocation is the cluster's job
 //!   (uniform across strategies), so a strategy stays a pure
 //!   preference function.
@@ -59,6 +56,29 @@ impl BalancerKind {
             BalancerKind::LocalityAware => "locality",
         }
     }
+
+    /// Preferred node for `arrival`: an index below `view.nodes()`.
+    /// Ties and health are resolved by the cluster.
+    pub(crate) fn pick(self, view: &mut PlacementView<'_>, arrival: &Arrival) -> usize {
+        match self {
+            BalancerKind::RoundRobin => {
+                *view.rr_cursor = (*view.rr_cursor + 1) % view.nodes();
+                *view.rr_cursor
+            }
+            BalancerKind::WeightedRandom => view.rng.weighted_index(view.weights),
+            // min_by_key keeps the first minimum: ties break to the
+            // lowest node index, deterministically.
+            BalancerKind::LeastLoaded => view
+                .live
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &live)| live)
+                .map(|(i, _)| i)
+                .expect("cluster has at least one node"),
+            // Pin each service to a home node.
+            BalancerKind::LocalityAware => arrival.service.0 % view.nodes(),
+        }
+    }
 }
 
 impl std::fmt::Display for BalancerKind {
@@ -70,92 +90,23 @@ impl std::fmt::Display for BalancerKind {
 /// The cluster state a strategy may consult for one placement
 /// decision. Borrowed fields stay owned by the cluster model; a
 /// strategy holds nothing across decisions.
-pub struct PlacementView<'a> {
+pub(crate) struct PlacementView<'a> {
     /// In-flight request count per node, indexed by node id.
-    pub live: &'a [u64],
+    pub(crate) live: &'a [u64],
     /// Dispatch weight per node (same length as `live`; uniform when
     /// the config left weights empty).
-    pub weights: &'a [f64],
+    pub(crate) weights: &'a [f64],
     /// Round-robin cursor: index of the most recently picked node.
-    pub rr_cursor: &'a mut usize,
+    pub(crate) rr_cursor: &'a mut usize,
     /// The dispatcher's private seeded stream (never shared with
     /// workload or fault RNGs).
-    pub rng: &'a mut SimRng,
+    pub(crate) rng: &'a mut SimRng,
 }
 
 impl PlacementView<'_> {
     /// Number of nodes in the cluster (never zero).
-    pub fn nodes(&self) -> usize {
+    pub(crate) fn nodes(&self) -> usize {
         self.live.len()
-    }
-}
-
-/// One placement strategy. See the module docs for the contract.
-pub trait Balancer: Sync {
-    /// The kind this strategy implements.
-    fn kind(&self) -> BalancerKind;
-
-    /// Preferred node for `arrival`. Must return an index below
-    /// `view.nodes()`; ties and health are resolved by the cluster.
-    fn pick(&self, view: &mut PlacementView<'_>, arrival: &Arrival) -> usize;
-}
-
-struct RoundRobin;
-struct WeightedRandom;
-struct LeastLoaded;
-struct LocalityAware;
-
-impl Balancer for RoundRobin {
-    fn kind(&self) -> BalancerKind {
-        BalancerKind::RoundRobin
-    }
-    fn pick(&self, view: &mut PlacementView<'_>, _arrival: &Arrival) -> usize {
-        *view.rr_cursor = (*view.rr_cursor + 1) % view.nodes();
-        *view.rr_cursor
-    }
-}
-
-impl Balancer for WeightedRandom {
-    fn kind(&self) -> BalancerKind {
-        BalancerKind::WeightedRandom
-    }
-    fn pick(&self, view: &mut PlacementView<'_>, _arrival: &Arrival) -> usize {
-        view.rng.weighted_index(view.weights)
-    }
-}
-
-impl Balancer for LeastLoaded {
-    fn kind(&self) -> BalancerKind {
-        BalancerKind::LeastLoaded
-    }
-    fn pick(&self, view: &mut PlacementView<'_>, _arrival: &Arrival) -> usize {
-        // min_by_key keeps the first minimum: ties break to the lowest
-        // node index, deterministically.
-        view.live
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &live)| live)
-            .map(|(i, _)| i)
-            .expect("cluster has at least one node")
-    }
-}
-
-impl Balancer for LocalityAware {
-    fn kind(&self) -> BalancerKind {
-        BalancerKind::LocalityAware
-    }
-    fn pick(&self, view: &mut PlacementView<'_>, arrival: &Arrival) -> usize {
-        arrival.service.0 % view.nodes()
-    }
-}
-
-/// Maps a kind to its strategy object — the one construction site.
-pub fn balancer_for(kind: BalancerKind) -> &'static dyn Balancer {
-    match kind {
-        BalancerKind::RoundRobin => &RoundRobin,
-        BalancerKind::WeightedRandom => &WeightedRandom,
-        BalancerKind::LeastLoaded => &LeastLoaded,
-        BalancerKind::LocalityAware => &LocalityAware,
     }
 }
 
@@ -194,21 +145,13 @@ mod tests {
     }
 
     #[test]
-    fn construction_site_agrees_with_kind() {
-        for kind in BalancerKind::ALL {
-            assert_eq!(balancer_for(kind).kind(), kind);
-        }
-    }
-
-    #[test]
     fn round_robin_cycles_all_nodes() {
-        let b = balancer_for(BalancerKind::RoundRobin);
         let live = [0u64; 3];
         let weights = [1.0; 3];
         let (mut cursor, mut rng) = (0usize, SimRng::seed(1));
         let picks: Vec<usize> = (0..6)
             .map(|_| {
-                b.pick(
+                BalancerKind::RoundRobin.pick(
                     &mut view(&live, &weights, &mut cursor, &mut rng),
                     &arrival(0),
                 )
@@ -219,11 +162,10 @@ mod tests {
 
     #[test]
     fn least_loaded_picks_minimum_and_breaks_ties_low() {
-        let b = balancer_for(BalancerKind::LeastLoaded);
         let weights = [1.0; 4];
         let (mut cursor, mut rng) = (0usize, SimRng::seed(1));
         let live = [5u64, 2, 7, 2];
-        let pick = b.pick(
+        let pick = BalancerKind::LeastLoaded.pick(
             &mut view(&live, &weights, &mut cursor, &mut rng),
             &arrival(0),
         );
@@ -232,12 +174,11 @@ mod tests {
 
     #[test]
     fn locality_pins_services_to_home_nodes() {
-        let b = balancer_for(BalancerKind::LocalityAware);
         let live = [0u64; 3];
         let weights = [1.0; 3];
         let (mut cursor, mut rng) = (0usize, SimRng::seed(1));
         for svc in 0..9 {
-            let pick = b.pick(
+            let pick = BalancerKind::LocalityAware.pick(
                 &mut view(&live, &weights, &mut cursor, &mut rng),
                 &arrival(svc),
             );
@@ -247,13 +188,12 @@ mod tests {
 
     #[test]
     fn weighted_random_respects_zero_weights_and_seed() {
-        let b = balancer_for(BalancerKind::WeightedRandom);
         let live = [0u64; 3];
         let weights = [1.0, 0.0, 3.0];
         let (mut cursor, mut rng) = (0usize, SimRng::seed(7));
         let mut counts = [0u32; 3];
         for _ in 0..2000 {
-            counts[b.pick(
+            counts[BalancerKind::WeightedRandom.pick(
                 &mut view(&live, &weights, &mut cursor, &mut rng),
                 &arrival(0),
             )] += 1;
@@ -265,11 +205,13 @@ mod tests {
         );
         // Same seed, same picks: the stream is deterministic.
         let (mut c2, mut rng2) = (0usize, SimRng::seed(7));
-        let first = b.pick(&mut view(&live, &weights, &mut c2, &mut rng2), &arrival(0));
+        let first = BalancerKind::WeightedRandom
+            .pick(&mut view(&live, &weights, &mut c2, &mut rng2), &arrival(0));
         let (mut c3, mut rng3) = (0usize, SimRng::seed(7));
         assert_eq!(
             first,
-            b.pick(&mut view(&live, &weights, &mut c3, &mut rng3), &arrival(0))
+            BalancerKind::WeightedRandom
+                .pick(&mut view(&live, &weights, &mut c3, &mut rng3), &arrival(0))
         );
     }
 }

@@ -4,7 +4,7 @@
 //! The paper evaluates one 36-core server; microservices run on
 //! fleets. This module composes N per-node machines under a single
 //! *front-end dispatcher* that places every arriving request on a node
-//! (a pluggable [`Balancer`] strategy), models the inter-node network
+//! (a [`BalancerKind`] strategy), models the inter-node network
 //! ([`NodeLink`]), and keep-alive-polls node health so work is
 //! relocated away from fault-suspended nodes — the cluster-level
 //! mirror of the per-machine sibling re-dispatch in
@@ -60,7 +60,8 @@ mod balancer;
 mod report;
 mod snapshot;
 
-pub use balancer::{balancer_for, Balancer, BalancerKind, PlacementView};
+pub use balancer::BalancerKind;
+use balancer::PlacementView;
 pub use report::{ClusterReport, HealthReport};
 pub use snapshot::{ClusterRun, CLUSTER_SNAPSHOT_MAGIC};
 
@@ -140,7 +141,9 @@ pub struct ClusterConfig {
     /// Placement strategy for the front-end dispatcher.
     pub balancer: BalancerKind,
     /// Dispatch weight per node for weighted-random placement. Empty
-    /// means uniform; otherwise the length must equal `nodes`.
+    /// means uniform; otherwise the length must equal `nodes`, every
+    /// weight must be finite and non-negative, and at least one must be
+    /// positive (checked when the run starts).
     pub weights: Vec<f64>,
     /// Keep-alive health-poll period; `None` disables polling (nodes
     /// are never suspended and no relocation happens).
@@ -163,6 +166,37 @@ impl ClusterConfig {
             keepalive: None,
             suspend_dark_stations: 1,
         }
+    }
+
+    /// The per-node dispatch weights a run places with: uniform when
+    /// [`ClusterConfig::weights`] is empty, else a validated copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the weights are non-empty and their length differs
+    /// from `nodes`, when any weight is negative or non-finite, or when
+    /// they are all zero — weighted-random placement could not draw a
+    /// node from them.
+    fn dispatch_weights(&self) -> Vec<f64> {
+        if self.weights.is_empty() {
+            return vec![1.0; self.nodes];
+        }
+        assert_eq!(
+            self.weights.len(),
+            self.nodes,
+            "ClusterConfig::weights must match the node count"
+        );
+        assert!(
+            self.weights.iter().all(|w| w.is_finite() && *w >= 0.0),
+            "ClusterConfig::weights must be finite and non-negative: {:?}",
+            self.weights
+        );
+        assert!(
+            self.weights.iter().any(|&w| w > 0.0),
+            "ClusterConfig::weights must not all be zero: {:?}",
+            self.weights
+        );
+        self.weights.clone()
     }
 }
 
@@ -191,7 +225,7 @@ struct NodeSlot {
 struct ClusterModel<F> {
     nodes: Vec<NodeSlot>,
     link: NodeLink,
-    balancer: &'static dyn Balancer,
+    balancer: BalancerKind,
     weights: Vec<f64>,
     rr_cursor: usize,
     rng: SimRng,
@@ -216,16 +250,13 @@ impl<F> ClusterModel<F> {
         self.live_scratch.clear();
         self.live_scratch
             .extend(self.nodes.iter().map(|n| n.machine.live_requests()));
-        let balancer = self.balancer;
-        let preferred = {
-            let mut view = PlacementView {
-                live: &self.live_scratch,
-                weights: &self.weights,
-                rr_cursor: &mut self.rr_cursor,
-                rng: &mut self.rng,
-            };
-            balancer.pick(&mut view, &arrival)
+        let mut view = PlacementView {
+            live: &self.live_scratch,
+            weights: &self.weights,
+            rr_cursor: &mut self.rr_cursor,
+            rng: &mut self.rng,
         };
+        let preferred = self.balancer.pick(&mut view, &arrival);
         debug_assert!(preferred < self.nodes.len(), "balancer picked {preferred}");
         let (target, hops) = if self.nodes[preferred].suspended {
             // Walk forward from the preferred node to the next healthy
@@ -373,8 +404,8 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics when `cfg.nodes` is zero or `cfg.weights` is non-empty
-    /// with a length other than `cfg.nodes`.
+    /// Panics when `cfg.nodes` is zero or `cfg.weights` is invalid
+    /// (see [`ClusterConfig::weights`]).
     pub fn run_arrivals_observed(
         cfg: &ClusterConfig,
         services: &[ServiceSpec],
@@ -507,6 +538,31 @@ mod tests {
         let mut cfg = ClusterConfig::new(3, node_cfg());
         cfg.weights = vec![1.0, 2.0];
         let _ = Cluster::run_workload(&cfg, &[ping()], 100.0, SimDuration::from_millis(2), 1);
+    }
+
+    fn run_with_weights(weights: Vec<f64>) {
+        let mut cfg = ClusterConfig::new(3, node_cfg());
+        cfg.balancer = BalancerKind::WeightedRandom;
+        cfg.weights = weights;
+        let _ = Cluster::run_workload(&cfg, &[ping()], 100.0, SimDuration::from_millis(2), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "must not all be zero")]
+    fn all_zero_weights_are_rejected() {
+        run_with_weights(vec![0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite and non-negative")]
+    fn negative_weights_are_rejected() {
+        run_with_weights(vec![3.0, -1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite and non-negative")]
+    fn infinite_weights_are_rejected() {
+        run_with_weights(vec![1.0, f64::INFINITY, 1.0]);
     }
 
     #[test]

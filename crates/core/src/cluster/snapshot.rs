@@ -24,8 +24,8 @@ use crate::machine::{Ev, Machine};
 use crate::request::ServiceSpec;
 
 use super::{
-    balancer_for, CEv, Cluster, ClusterConfig, ClusterModel, ClusterReport, HealthReport,
-    NodeSlot, DISPATCH_RNG_SALT,
+    CEv, Cluster, ClusterConfig, ClusterModel, ClusterReport, HealthReport, NodeSlot,
+    DISPATCH_RNG_SALT,
 };
 
 /// Leading magic bytes of a cluster snapshot — distinct from the
@@ -66,9 +66,7 @@ impl Snapshot for CEv {
         Ok(match r.u8()? {
             0 => CEv::Node(r.u16()?, Ev::load(r)?),
             1 => CEv::KeepAlive,
-            other => {
-                return Err(SnapshotError::Corrupt(format!("unknown CEv tag {other}")))
-            }
+            other => return Err(SnapshotError::Corrupt(format!("unknown CEv tag {other}"))),
         })
     }
 }
@@ -109,7 +107,7 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
     /// # Panics
     ///
     /// Panics when `cfg.nodes` is zero, exceeds `u16::MAX`, or
-    /// `cfg.weights` is non-empty with a length other than `cfg.nodes`.
+    /// `cfg.weights` is invalid (see [`ClusterConfig::weights`]).
     pub fn start(
         cfg: &ClusterConfig,
         services: &[ServiceSpec],
@@ -124,16 +122,7 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
             "node ids are u16: at most {} nodes",
             u16::MAX
         );
-        let weights = if cfg.weights.is_empty() {
-            vec![1.0; cfg.nodes]
-        } else {
-            assert_eq!(
-                cfg.weights.len(),
-                cfg.nodes,
-                "weights must match the node count"
-            );
-            cfg.weights.clone()
-        };
+        let weights = cfg.dispatch_weights();
 
         let names: Vec<String> = services.iter().map(|s| s.name.clone()).collect();
         let cfg_hash = Cluster::config_hash(cfg, &names);
@@ -160,7 +149,7 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
         let model = ClusterModel {
             nodes,
             link: cfg.link,
-            balancer: balancer_for(cfg.balancer),
+            balancer: cfg.balancer,
             weights,
             rr_cursor: 0,
             rng: SimRng::seed(seed ^ DISPATCH_RNG_SALT),
@@ -254,15 +243,11 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
             )));
         }
 
-        let weights = if cfg.weights.is_empty() {
-            vec![1.0; cfg.nodes]
-        } else {
-            cfg.weights.clone()
-        };
+        let weights = cfg.dispatch_weights();
         let model = ClusterModel {
             nodes,
             link: cfg.link,
-            balancer: balancer_for(cfg.balancer),
+            balancer: cfg.balancer,
             weights,
             rr_cursor,
             rng,

@@ -5,7 +5,7 @@
 //! Both paths converge on [`MachineCtx::on_fallback_done`], which
 //! re-enters the normal segment-end handling — the only difference
 //! from the accelerated path being that continuation hops stay on the
-//! CPU for cpu-only orchestrators.
+//! CPU for cpu-only policies.
 
 use accelflow_sim::engine::EventQueue;
 use accelflow_sim::time::{SimDuration, SimTime};
@@ -102,7 +102,7 @@ impl MachineCtx {
                     hop: 0,
                     ..addr
                 };
-                if self.orch.cpu_only() {
+                if self.cfg.policy.cpu_only() {
                     self.start_segment_on_cpu(now, next_addr, queue);
                 } else {
                     queue.schedule(SimDuration::ZERO, Ev::HopArrive(next_addr));
@@ -125,7 +125,7 @@ impl MachineCtx {
                             par: addr.par,
                         },
                     );
-                } else if self.orch.cpu_only() {
+                } else if self.cfg.policy.cpu_only() {
                     queue.schedule_at(now + external, Ev::ExternalArriveCpu(next_addr));
                 } else {
                     queue.schedule_at(now + external, Ev::ExternalArrive(next_addr));

@@ -27,21 +27,21 @@
 //! # Module map
 //!
 //! The event loop is split by concern; every handler is a method on
-//! [`MachineCtx`], the shared mutable state, and consults the
-//! policy-specific [`Orchestrator`] for every decision that differs
-//! between designs:
+//! `MachineCtx`, the shared mutable state, and reads every decision
+//! that differs between designs straight from the configured
+//! [`Policy`] — its predicates and cost methods, plus the one hop
+//! transition `match` in `transfer`:
 //!
 //! | module | owns |
 //! |---|---|
 //! | `lifecycle` | request admission, program steps, call initiation, completion, timeouts |
 //! | `dispatch` | accelerator input queues, the PE inner loop, RELIEF's shared queue |
-//! | `transfer` | core→accelerator submission, inter-hop payload movement, external responses |
+//! | `transfer` | core→accelerator submission, the per-policy hop transition, inter-hop payload movement, external responses |
 //! | `fallback` | CPU execution of segments (Non-acc and overflow escape) |
 //! | `resilience` | fault injection and recovery (retry/backoff, sibling re-dispatch, CPU degrade) |
 //! | `scaling` | ingress control (rate limit / admission) and the telemetry-feedback autoscaler |
 //! | `accounting` | latency breakdowns, stats/energy emission, telemetry, audit hooks, reports |
 //! | `snapshot` | versioned checkpoint/restore and the resumable [`MachineRun`] handle |
-//! | [`orchestrator`] | the [`Orchestrator`] trait and its ten per-policy implementations |
 
 mod accounting;
 #[cfg(test)]
@@ -49,7 +49,6 @@ mod control_tests;
 mod dispatch;
 mod fallback;
 mod lifecycle;
-pub mod orchestrator;
 mod resilience;
 mod scaling;
 mod snapshot;
@@ -57,7 +56,6 @@ mod snapshot;
 mod tests;
 mod transfer;
 
-pub use orchestrator::{orchestrator_for, HopInfo, Orchestrator, TransferMode};
 pub use snapshot::{MachineRun, SNAPSHOT_MAGIC};
 
 use std::collections::VecDeque;
@@ -273,13 +271,9 @@ pub enum Ev {
 /// request table, and the measurement sinks.
 ///
 /// Event handlers are methods on this type, spread across the
-/// submodules by concern; the [`Orchestrator`] strategies receive a
-/// `&mut MachineCtx` for the policy-specific legs of a transition.
-/// Nothing outside this crate can touch the fields — the type is
-/// public only because [`Orchestrator`] names it in its signatures.
-pub struct MachineCtx {
+/// submodules by concern; per-policy decisions read `cfg.policy`.
+pub(crate) struct MachineCtx {
     pub(crate) cfg: MachineConfig,
-    pub(crate) orch: &'static dyn Orchestrator,
     pub(crate) timing: ServiceTimeModel,
     pub(crate) lib: TraceLibrary,
     pub(crate) net: Interconnect,
@@ -341,7 +335,6 @@ impl Machine {
         seed: u64,
     ) -> Self {
         cfg.arch.validate().expect("invalid architecture config");
-        let orch = orchestrator_for(cfg.policy);
         let mut timing = ServiceTimeModel::calibrated(cfg.arch.core_clock);
         timing.set_speedup_scale(cfg.speedup_scale);
         timing.set_tax_speed_factor(cfg.arch.generation.tax_factor());
@@ -355,7 +348,7 @@ impl Machine {
         let manager = ServerPool::new(1);
         let queue_policy = cfg
             .queue_policy_override
-            .unwrap_or_else(|| orch.queue_policy());
+            .unwrap_or_else(|| cfg.policy.queue_policy());
         let instances = cfg.instances_per_accel;
         assert!(
             (1..=16).contains(&instances),
@@ -399,7 +392,6 @@ impl Machine {
         Machine {
             ctx: MachineCtx {
                 cfg,
-                orch,
                 timing,
                 lib,
                 net,
@@ -542,7 +534,7 @@ impl Machine {
     }
 
     /// Arms each enabled fault class's Poisson stream (see
-    /// [`MachineCtx::draw_initial_faults`]); the caller schedules the
+    /// `MachineCtx::draw_initial_faults`); the caller schedules the
     /// returned events into its own queue.
     pub(crate) fn arm_initial_faults(&mut self) -> Vec<(SimTime, FaultClass)> {
         self.ctx.draw_initial_faults()

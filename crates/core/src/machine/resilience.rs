@@ -9,7 +9,7 @@
 //! Recovery is layered: a failed hop is **retried** (bounded, with
 //! exponential backoff; software designs pay a core submit per retry,
 //! the direct-transfer family re-issues from hardware —
-//! [`Orchestrator::recovery_via_core`](super::Orchestrator::recovery_via_core)),
+//! [`Policy::recovery_via_core`](crate::policy::Policy::recovery_via_core)),
 //! admission routes around **dark stations** to sibling instances
 //! ([`MachineCtx::route_station`]), and when retries exhaust the rest
 //! of the segment **degrades** to the existing CPU fallback. Every
@@ -192,7 +192,7 @@ impl MachineCtx {
             return;
         }
         self.tel_instant_sys(now, CompId::accelerator(station as u16), "stall_end");
-        if self.orch.single_shared_queue() {
+        if self.cfg.policy.single_shared_queue() {
             self.dispatch_shared(now, queue);
         }
         queue.schedule(SimDuration::ZERO, Ev::TryStart(station));
@@ -307,7 +307,7 @@ impl MachineCtx {
             aud.record_retry(at, attempt, max_retries);
         }
         self.tel_instant_arg(at, CompId::MACHINE, "fault_retry", addr.req, attempt as u64);
-        let ready = if self.orch.recovery_via_core() {
+        let ready = if self.cfg.policy.recovery_via_core() {
             // Software-managed designs: a core notices the failure and
             // re-submits (same overhead as an external-response pickup).
             let submit = self.cfg.arch.cpu_submit_overhead;

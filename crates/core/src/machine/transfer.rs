@@ -4,19 +4,38 @@
 //! [`MachineCtx::after_hop`] is the policy-defining moment of the
 //! model: the completed hop's output must reach its next station (or
 //! the originating core). The *orchestration cost* of the transition
-//! and the *transfer mechanism* both come from the policy's
-//! [`Orchestrator`](super::Orchestrator) — dispatcher glue + A-DMA for
-//! the AccelFlow family, manager interrupts for RELIEF, core
-//! staging for CPU-Centric/Cohort, nothing for Ideal.
+//! is [`MachineCtx::hop_transition`], one `match` over the configured
+//! [`Policy`] — dispatcher glue for the AccelFlow family (bouncing
+//! unresolved branches and transforms to the manager on the ablation
+//! rungs), manager interrupts for RELIEF, core interrupts for
+//! CPU-Centric and unlinked Cohort hops, nothing for Ideal. The
+//! *transfer mechanism* is [`Policy::transfer_mode`]: A-DMA,
+//! core staging, or raw interconnect latency.
 
 use accelflow_arch::topology::Endpoint;
 use accelflow_sim::engine::EventQueue;
 use accelflow_sim::telemetry::CompId;
 use accelflow_sim::time::{SimDuration, SimTime};
+use accelflow_trace::kind::AccelKind;
 
+use crate::policy::{Policy, TransferMode};
 use crate::request::{CallAddr, SegmentEnd};
 
-use super::{Ev, HopInfo, MachineCtx, TransferMode};
+use super::{Ev, MachineCtx};
+
+/// Snapshot of the completed hop: everything the transition needs
+/// without re-borrowing the request table.
+struct HopInfo {
+    kind: AccelKind,
+    out_bytes: u64,
+    glue_instrs: u32,
+    branches_after: u8,
+    transform_after: bool,
+    fork_after: bool,
+    next_kind: Option<AccelKind>,
+    end: SegmentEnd,
+    has_next_segment: bool,
+}
 
 impl MachineCtx {
     /// Core-side submission of a fresh trace call (non-Non-acc
@@ -36,7 +55,7 @@ impl MachineCtx {
             // The core prepares and submits the trace (Enqueue + A-DMA
             // programming for AccelFlow; heavier software paths for the
             // baselines).
-            let submit = self.orch.submit_cost(&self.cfg.arch);
+            let submit = self.cfg.policy.submit_cost(&self.cfg.arch);
             let booking = if submit.is_zero() {
                 None
             } else {
@@ -115,8 +134,7 @@ impl MachineCtx {
         };
 
         // --- Orchestration cost of the transition ---
-        let orch = self.orch;
-        let t = orch.hop_transition(self, now, addr, accel, &info);
+        let t = self.hop_transition(now, addr, accel, &info);
 
         // --- Fork a result copy to the CPU (T6), in parallel ---
         if info.fork_after {
@@ -133,7 +151,7 @@ impl MachineCtx {
             };
             let from = Self::endpoint(info.kind);
             let to = Self::endpoint(next);
-            match orch.transfer_mode(info.kind, next) {
+            match self.cfg.policy.transfer_mode(info.kind, next) {
                 TransferMode::Instant => {
                     // Zero-cost orchestration bound: only the raw
                     // interconnect latency, no engine occupancy.
@@ -246,7 +264,7 @@ impl MachineCtx {
                 // AccelFlow: the TCP dispatcher pre-loads the response
                 // trace from the ATM (§IV-B). Baselines: the core will
                 // re-orchestrate when the response interrupt arrives.
-                if orch.preloads_response_trace() {
+                if self.cfg.policy.preloads_response_trace() {
                     self.totals.atm_reads += 1;
                     let _ = self.lib.atm_mut().load(accelflow_trace::atm::AtmAddr(0));
                     self.tel_instant(t, CompId::ATM, "atm_read", addr.req);
@@ -281,6 +299,144 @@ impl MachineCtx {
         }
     }
 
+    /// The orchestration cost of the transition after a completed hop.
+    /// May occupy cores or the manager and charge latency; returns when
+    /// the payload is ready to move on.
+    fn hop_transition(
+        &mut self,
+        now: SimTime,
+        addr: CallAddr,
+        accel: u8,
+        info: &HopInfo,
+    ) -> SimTime {
+        let p = self.cfg.policy;
+        match p {
+            Policy::NonAcc => unreachable!("Non-acc runs no accelerator hops"),
+            // Completion interrupts the originating core, which then
+            // submits the next invocation.
+            Policy::CpuCentric => {
+                let arch = &self.cfg.arch;
+                let overhead = arch.cpu_interrupt_overhead + arch.cpu_submit_overhead;
+                self.core_transition(now, addr, overhead)
+            }
+            Policy::Relief | Policy::ReliefPerTypeQ => self.manager_transition(now, addr),
+            Policy::Direct | Policy::CntrFlow | Policy::AccelFlow | Policy::AccelFlowDeadline => {
+                self.dispatcher_transition(
+                    now,
+                    addr,
+                    accel,
+                    info,
+                    p.branches_in_dispatcher(),
+                    p.transforms_in_dispatcher(),
+                )
+            }
+            Policy::Cohort => {
+                let linked = info
+                    .next_kind
+                    .is_some_and(|n| Policy::cohort_linked(info.kind, n));
+                if linked {
+                    // Producer/consumer software queue in the LLC.
+                    let hand = self.cfg.arch.cycles(2.0 * self.cfg.arch.llc_latency_cycles);
+                    self.charge(addr.req, |bd| bd.orchestration += hand);
+                    now + hand
+                } else {
+                    // Unlinked hops fall back to core orchestration
+                    // (Cohort "otherwise relies on the cores"): the core
+                    // polls the software queue, runs the glue, and
+                    // resubmits — the CPU-Centric software path minus
+                    // the interrupt entry.
+                    let arch = &self.cfg.arch;
+                    let overhead = arch.cohort_queue_overhead + arch.cpu_submit_overhead;
+                    self.core_transition(now, addr, overhead)
+                }
+            }
+            // Zero-overhead bound: transitions are free.
+            Policy::Ideal => now,
+        }
+    }
+
+    /// Core-orchestrated transition: a core spends `overhead` on the
+    /// hand-off before the payload may move.
+    fn core_transition(&mut self, now: SimTime, addr: CallAddr, overhead: SimDuration) -> SimTime {
+        let b = self.cores.acquire(now, overhead);
+        self.energy.add_core_busy(overhead);
+        let spent = b.finish.saturating_since(now);
+        self.charge(addr.req, |bd| bd.orchestration += spent);
+        b.finish
+    }
+
+    /// Output-dispatcher transition (the AccelFlow ablation ladder): the
+    /// dispatcher executes the glue instructions; rungs that cannot
+    /// resolve branches or transforms locally bounce to the manager.
+    fn dispatcher_transition(
+        &mut self,
+        now: SimTime,
+        addr: CallAddr,
+        accel: u8,
+        info: &HopInfo,
+        branches_in_dispatcher: bool,
+        transforms_in_dispatcher: bool,
+    ) -> SimTime {
+        let mut t = now;
+        let td = self.dispatcher_time(info.glue_instrs);
+        self.totals.dispatcher_instrs += info.glue_instrs as u64;
+        self.totals.dispatches += 1;
+        self.energy.add_dispatcher_instrs(info.glue_instrs as u64);
+        self.charge(addr.req, |b| b.orchestration += td);
+        self.tel_span(
+            t,
+            CompId::accelerator(accel as u16),
+            "glue",
+            td,
+            addr.req,
+            info.glue_instrs as u64,
+        );
+        t += td;
+        // Ablation rungs bounce unresolved work to the manager.
+        let needs_manager_branch = info.branches_after > 0 && !branches_in_dispatcher;
+        let needs_manager_transform = info.transform_after && !transforms_in_dispatcher;
+        if needs_manager_branch || needs_manager_transform {
+            let after_irq = t + self.cfg.arch.manager_latency;
+            let b = self
+                .manager
+                .acquire(after_irq, self.cfg.arch.manager_fallback_time);
+            let spent = b.finish.saturating_since(t);
+            self.charge(addr.req, |bd| bd.orchestration += spent);
+            self.tel_span(
+                b.start,
+                CompId::MANAGER,
+                "manager",
+                self.cfg.arch.manager_fallback_time,
+                addr.req,
+                0,
+            );
+            t = b.finish;
+        }
+        t
+    }
+
+    /// RELIEF-style transition: every completion interrupts the manager —
+    /// interrupt-delivery latency plus serialized decision occupancy
+    /// (§VII-A1).
+    fn manager_transition(&mut self, now: SimTime, addr: CallAddr) -> SimTime {
+        let after_irq = now + self.cfg.arch.manager_latency;
+        let b = self
+            .manager
+            .acquire(after_irq, self.cfg.arch.manager_service_time);
+        let spent = b.finish.saturating_since(now);
+        self.charge(addr.req, |bd| bd.orchestration += spent);
+        self.totals.manager_busy += self.cfg.arch.manager_service_time;
+        self.tel_span(
+            b.start,
+            CompId::MANAGER,
+            "manager",
+            self.cfg.arch.manager_service_time,
+            addr.req,
+            0,
+        );
+        b.finish
+    }
+
     pub(crate) fn on_external_arrive(
         &mut self,
         now: SimTime,
@@ -292,7 +448,7 @@ impl MachineCtx {
         }
         // Response messages re-enter through TCP. In the baselines the
         // core must notice and resubmit the processing chain.
-        if self.orch.resubmits_external_response() {
+        if self.cfg.policy.resubmits_external_response() {
             let submit = self.cfg.arch.cpu_submit_overhead;
             let b = self.cores.acquire(now, submit);
             self.energy.add_core_busy(submit);

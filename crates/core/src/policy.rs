@@ -16,9 +16,29 @@
 //! | `AccelFlowDeadline` | AccelFlow with the deadline-aware input-dispatcher policy (§IV-C) |
 //! | `Cohort` | statically linked accelerator pairs communicate directly; everything else is orchestrated by cores through shared-memory software queues |
 //! | `Ideal` | direct communication with zero orchestration cost (Fig 14's bound) |
+//!
+//! `Policy` is also the machine's strategy: every decision the designs
+//! disagree on is a method here (or, for the hop transition that needs
+//! machine state, one `match` over the policy in the machine's
+//! `transfer` module), read straight from the configured policy. A new
+//! policy is one variant plus the match arms the compiler demands.
 
 use accelflow_accel::dispatcher::QueuePolicy;
+use accelflow_arch::config::ArchConfig;
+use accelflow_sim::time::SimDuration;
 use accelflow_trace::kind::AccelKind;
+
+/// How a payload moves between two accelerator stations.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum TransferMode {
+    /// Raw interconnect latency only — the Ideal bound.
+    Instant,
+    /// Staged through the core's memory hierarchy (two network legs
+    /// plus a cache access); designs without A-DMA engines.
+    StagedViaCore,
+    /// An A-DMA engine moves the payload station-to-station.
+    Dma,
+}
 
 /// An orchestration policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -82,9 +102,10 @@ impl Policy {
         }
     }
 
-    /// Whether tax ops execute on accelerators at all.
-    pub fn uses_accelerators(self) -> bool {
-        !matches!(self, Policy::NonAcc)
+    /// Whether whole segments run on cores, never touching an
+    /// accelerator.
+    pub fn cpu_only(self) -> bool {
+        matches!(self, Policy::NonAcc)
     }
 
     /// Whether a centralized hardware manager mediates transfers.
@@ -152,6 +173,80 @@ impl Policy {
         }
     }
 
+    /// Core-side cost of submitting a fresh trace call.
+    pub(crate) fn submit_cost(self, arch: &ArchConfig) -> SimDuration {
+        match self {
+            Policy::NonAcc | Policy::CpuCentric | Policy::Relief | Policy::ReliefPerTypeQ => {
+                arch.cpu_submit_overhead
+            }
+            Policy::Direct | Policy::CntrFlow | Policy::AccelFlow | Policy::AccelFlowDeadline => {
+                arch.cycles(arch.enqueue_cycles)
+            }
+            Policy::Cohort => arch.cohort_queue_overhead,
+            Policy::Ideal => SimDuration::ZERO,
+        }
+    }
+
+    /// Manager occupancy paid when a queue entry's Memory-Pointer
+    /// payload spills past the inline bytes; `None` when the design
+    /// handles spills without the manager.
+    pub(crate) fn spill_manager_occupancy(self, arch: &ArchConfig) -> Option<SimDuration> {
+        match self {
+            Policy::Relief | Policy::ReliefPerTypeQ => Some(arch.manager_service_time),
+            Policy::Direct | Policy::CntrFlow => Some(arch.manager_fallback_time),
+            Policy::NonAcc
+            | Policy::CpuCentric
+            | Policy::AccelFlow
+            | Policy::AccelFlowDeadline
+            | Policy::Cohort
+            | Policy::Ideal => None,
+        }
+    }
+
+    /// How the payload travels from a `from` station to a `to` station.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`Policy::NonAcc`], which runs no accelerator hops.
+    pub(crate) fn transfer_mode(self, from: AccelKind, to: AccelKind) -> TransferMode {
+        match self {
+            Policy::NonAcc => unreachable!("Non-acc runs no accelerator hops"),
+            Policy::CpuCentric => TransferMode::StagedViaCore,
+            Policy::Cohort if Self::cohort_linked(from, to) => TransferMode::Dma,
+            Policy::Cohort => TransferMode::StagedViaCore,
+            Policy::Relief
+            | Policy::ReliefPerTypeQ
+            | Policy::Direct
+            | Policy::CntrFlow
+            | Policy::AccelFlow
+            | Policy::AccelFlowDeadline => TransferMode::Dma,
+            Policy::Ideal => TransferMode::Instant,
+        }
+    }
+
+    /// Whether the TCP dispatcher pre-loads the response trace from the
+    /// ATM at an `AwaitResponse` boundary (§IV-B) instead of leaving it
+    /// to the core: the direct-transfer family minus the Ideal bound.
+    pub(crate) fn preloads_response_trace(self) -> bool {
+        self.direct_transfers() && !self.zero_orchestration()
+    }
+
+    /// Whether a core must notice and resubmit when an external
+    /// response re-enters through TCP — wherever software coordinates.
+    /// The AccelFlow family re-dispatches in hardware instead; Non-acc
+    /// responses re-enter through the CPU path and never ask.
+    pub(crate) fn resubmits_external_response(self) -> bool {
+        self.core_orchestrated() || self.uses_manager()
+    }
+
+    /// Whether a failed trace hop is re-issued by software on a core
+    /// (paying the submit overhead per retry). The direct-transfer
+    /// family re-issues from the hardware front-end instead — retries
+    /// cost only the backoff delay. See `docs/RESILIENCE.md`.
+    pub(crate) fn recovery_via_core(self) -> bool {
+        !self.direct_transfers()
+    }
+
     /// Cohort's statically linked ordered pairs: Cohort links "a few"
     /// accelerators that always go together — the TCP→Decr receive edge
     /// and the Encr→TCP send edge. Transfers matching a linked pair
@@ -199,8 +294,59 @@ mod tests {
     }
 
     #[test]
+    fn every_policy_decision_is_pinned() {
+        use AccelKind::{Decr, Dser, Ldb, Tcp};
+        use QueuePolicy::{DeadlineAware, Fifo};
+        use TransferMode::{Dma, Instant, StagedViaCore as Staged};
+        let a = ArchConfig::default();
+        let cpu = a.cpu_submit_overhead;
+        let enq = a.cycles(a.enqueue_cycles);
+        let (svc, fb) = (a.manager_service_time, a.manager_fallback_time);
+        // policy, submit cost, spill occupancy, transfer mode on a
+        // Cohort-linked (Tcp→Decr) and an unlinked (Dser→Ldb) hop,
+        // preloads response trace, resubmits external response,
+        // recovery via core, input-queue policy.
+        #[rustfmt::skip]
+        let rows = [
+            (Policy::NonAcc,            cpu,                    None,      None,                     false, false, true,  Fifo),
+            (Policy::CpuCentric,        cpu,                    None,      Some((Staged, Staged)),   false, true,  true,  Fifo),
+            (Policy::Relief,            cpu,                    Some(svc), Some((Dma, Dma)),         false, true,  true,  Fifo),
+            (Policy::ReliefPerTypeQ,    cpu,                    Some(svc), Some((Dma, Dma)),         false, true,  true,  Fifo),
+            (Policy::Direct,            enq,                    Some(fb),  Some((Dma, Dma)),         true,  true,  false, Fifo),
+            (Policy::CntrFlow,          enq,                    Some(fb),  Some((Dma, Dma)),         true,  true,  false, Fifo),
+            (Policy::AccelFlow,         enq,                    None,      Some((Dma, Dma)),         true,  false, false, Fifo),
+            (Policy::AccelFlowDeadline, enq,                    None,      Some((Dma, Dma)),         true,  false, false, DeadlineAware),
+            (Policy::Cohort,            a.cohort_queue_overhead, None,     Some((Dma, Staged)),      false, true,  true,  Fifo),
+            (Policy::Ideal,             SimDuration::ZERO,      None,      Some((Instant, Instant)), false, false, false, Fifo),
+        ];
+        for (p, submit, spill, modes, preload, resubmit, via_core, queue) in rows {
+            assert_eq!(p.submit_cost(&a), submit, "{p} submit_cost");
+            assert_eq!(p.spill_manager_occupancy(&a), spill, "{p} spill");
+            match modes {
+                Some(m) => assert_eq!(
+                    (p.transfer_mode(Tcp, Decr), p.transfer_mode(Dser, Ldb)),
+                    m,
+                    "{p} transfer_mode"
+                ),
+                None => assert!(
+                    std::panic::catch_unwind(|| p.transfer_mode(Tcp, Decr)).is_err(),
+                    "{p} runs no accelerator hops"
+                ),
+            }
+            assert_eq!(p.preloads_response_trace(), preload, "{p} preload");
+            assert_eq!(p.resubmits_external_response(), resubmit, "{p} resubmit");
+            assert_eq!(p.recovery_via_core(), via_core, "{p} recovery_via_core");
+            assert_eq!(p.queue_policy(), queue, "{p} queue_policy");
+        }
+        // The defaults must keep the three submit costs apart, or the
+        // rows above could not tell the families apart.
+        assert!(cpu != enq && enq != a.cohort_queue_overhead && cpu != a.cohort_queue_overhead);
+        assert_ne!(svc, fb);
+    }
+
+    #[test]
     fn headline_policies_are_distinct_designs() {
-        assert!(!Policy::NonAcc.uses_accelerators());
+        assert!(Policy::NonAcc.cpu_only());
         assert!(Policy::CpuCentric.core_orchestrated());
         assert!(Policy::Relief.uses_manager());
         assert!(Policy::Relief.single_shared_queue());

@@ -665,7 +665,12 @@ mod tests {
         }
         assert_eq!(
             order,
-            vec![(1_000_000, 2), (1_000_000, 3), (1_000_000, 4), (2_000_000, 9)],
+            vec![
+                (1_000_000, 2),
+                (1_000_000, 3),
+                (1_000_000, 4),
+                (2_000_000, 9)
+            ],
             "restored burst must keep delivery order, at-now event last in batch"
         );
         assert_eq!(restored.delivered(), 5);

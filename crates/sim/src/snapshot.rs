@@ -522,7 +522,10 @@ mod tests {
         assert_eq!(Vec::<u64>::load(&mut r).unwrap(), vec![1, 2, 3]);
         assert_eq!(Option::<u32>::load(&mut r).unwrap(), None);
         assert_eq!(Option::<u8>::load(&mut r).unwrap(), Some(9));
-        assert_eq!(VecDeque::<u16>::load(&mut r).unwrap(), VecDeque::from([4, 5]));
+        assert_eq!(
+            VecDeque::<u16>::load(&mut r).unwrap(),
+            VecDeque::from([4, 5])
+        );
         assert_eq!(<(u8, u64)>::load(&mut r).unwrap(), (1, 2));
         assert_eq!(<[u32; 3]>::load(&mut r).unwrap(), [7; 3]);
         assert!(r.is_exhausted());
@@ -534,10 +537,7 @@ mod tests {
         w.u64(42);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes[..5]);
-        assert!(matches!(
-            r.u64(),
-            Err(SnapshotError::UnexpectedEof { .. })
-        ));
+        assert!(matches!(r.u64(), Err(SnapshotError::UnexpectedEof { .. })));
     }
 
     #[test]
