@@ -237,62 +237,24 @@ impl InputQueue {
     }
 }
 
-impl accelflow_sim::snapshot::Snapshot for RequestId {
-    fn save(&self, w: &mut accelflow_sim::snapshot::SnapWriter) {
-        w.u64(self.0);
-    }
-    fn load(
-        r: &mut accelflow_sim::snapshot::SnapReader<'_>,
-    ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
-        Ok(RequestId(r.u64()?))
-    }
-}
+accelflow_sim::snapshot_record!(RequestId(0));
 
-impl accelflow_sim::snapshot::Snapshot for TenantId {
-    fn save(&self, w: &mut accelflow_sim::snapshot::SnapWriter) {
-        w.u16(self.0);
-    }
-    fn load(
-        r: &mut accelflow_sim::snapshot::SnapReader<'_>,
-    ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
-        Ok(TenantId(r.u16()?))
-    }
-}
+accelflow_sim::snapshot_record!(TenantId(0));
 
-impl accelflow_sim::snapshot::Snapshot for QueueEntry {
-    fn save(&self, w: &mut accelflow_sim::snapshot::SnapWriter) {
-        self.request.save(w);
-        self.tenant.save(w);
-        self.trace.save(w);
-        self.pm.save(w);
-        w.u64(self.data_bytes);
-        self.flags.save(w);
-        w.u64(self.vaddr);
-        self.deadline.save(w);
-        w.u8(self.priority);
-        self.enqueued_at.save(w);
-        w.usize(self.origin_core);
-        w.u64(self.tag);
-    }
-    fn load(
-        r: &mut accelflow_sim::snapshot::SnapReader<'_>,
-    ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
-        Ok(QueueEntry {
-            request: RequestId::load(r)?,
-            tenant: TenantId::load(r)?,
-            trace: Arc::load(r)?,
-            pm: PositionMark::load(r)?,
-            data_bytes: r.u64()?,
-            flags: PayloadFlags::load(r)?,
-            vaddr: r.u64()?,
-            deadline: Option::load(r)?,
-            priority: r.u8()?,
-            enqueued_at: SimTime::load(r)?,
-            origin_core: r.usize()?,
-            tag: r.u64()?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(QueueEntry {
+    request,
+    tenant,
+    trace,
+    pm,
+    data_bytes,
+    flags,
+    vaddr,
+    deadline,
+    priority,
+    enqueued_at,
+    origin_core,
+    tag,
+});
 
 impl accelflow_sim::snapshot::Snapshot for InputQueue {
     fn save(&self, w: &mut accelflow_sim::snapshot::SnapWriter) {

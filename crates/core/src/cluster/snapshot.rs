@@ -15,7 +15,7 @@
 use accelflow_sim::engine::{EventQueue, Simulation};
 use accelflow_sim::rng::SimRng;
 use accelflow_sim::snapshot::{
-    check_header, fnv1a, write_header, SnapReader, SnapWriter, Snapshot, SnapshotError,
+    check_header, config_hash, write_header, SnapReader, SnapWriter, Snapshot, SnapshotError,
 };
 use accelflow_sim::time::{SimDuration, SimTime};
 
@@ -24,32 +24,20 @@ use crate::machine::{Ev, Machine};
 use crate::request::ServiceSpec;
 
 use super::{
-    CEv, Cluster, ClusterConfig, ClusterModel, ClusterReport, HealthReport, NodeSlot,
-    DISPATCH_RNG_SALT,
+    CEv, ClusterConfig, ClusterModel, ClusterReport, HealthReport, NodeSlot, DISPATCH_RNG_SALT,
 };
 
 /// Leading magic bytes of a cluster snapshot — distinct from the
 /// machine magic so the two snapshot kinds can never be confused.
 pub const CLUSTER_SNAPSHOT_MAGIC: [u8; 4] = *b"AFCS";
 
-impl Snapshot for HealthReport {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.polls);
-        w.u64(self.suspensions);
-        w.u64(self.recoveries);
-        w.u64(self.relocations);
-        self.dispatched.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(HealthReport {
-            polls: r.u64()?,
-            suspensions: r.u64()?,
-            recoveries: r.u64()?,
-            relocations: r.u64()?,
-            dispatched: Vec::load(r)?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(HealthReport {
+    polls,
+    suspensions,
+    recoveries,
+    relocations,
+    dispatched,
+});
 
 impl Snapshot for CEv {
     fn save(&self, w: &mut SnapWriter) {
@@ -71,23 +59,8 @@ impl Snapshot for CEv {
     }
 }
 
-impl Cluster {
-    /// The configuration-identity hash carried in cluster snapshot
-    /// headers: FNV-1a over the cluster config's `Debug` rendering plus
-    /// the service names (the seed is excluded — every RNG stream
-    /// position is serialized).
-    pub fn config_hash(cfg: &ClusterConfig, service_names: &[String]) -> u64 {
-        let mut buf = format!("{cfg:?}").into_bytes();
-        for name in service_names {
-            buf.push(0);
-            buf.extend_from_slice(name.as_bytes());
-        }
-        fnv1a(&buf)
-    }
-}
-
 /// A cluster run held open for stepwise control: run to an instant,
-/// snapshot, resume, finish. [`Cluster::run_arrivals`] and friends are
+/// snapshot, resume, finish. [`Cluster::run_arrivals`](super::Cluster::run_arrivals) and friends are
 /// one-shot wrappers over this, exactly as
 /// [`Machine::run_arrivals`](crate::machine::Machine::run_arrivals)
 /// wraps [`MachineRun`](crate::machine::MachineRun).
@@ -102,7 +75,7 @@ pub struct ClusterRun<F: FnMut(SimTime, u16, &Ev)> {
 
 impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
     /// Opens a fleet run over a pre-generated arrival list (the
-    /// stepwise form of [`Cluster::run_arrivals_observed`]).
+    /// stepwise form of [`Cluster::run_arrivals_observed`](super::Cluster::run_arrivals_observed)).
     ///
     /// # Panics
     ///
@@ -125,7 +98,7 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
         let weights = cfg.dispatch_weights();
 
         let names: Vec<String> = services.iter().map(|s| s.name.clone()).collect();
-        let cfg_hash = Cluster::config_hash(cfg, &names);
+        let cfg_hash = config_hash(cfg, &names);
         let end = SimTime::ZERO + duration;
         let nodes: Vec<NodeSlot> = (0..cfg.nodes)
             .map(|i| NodeSlot {
@@ -200,7 +173,7 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
         observe: F,
     ) -> Result<Self, SnapshotError> {
         let names: Vec<String> = services.iter().map(|s| s.name.clone()).collect();
-        let expected = Cluster::config_hash(cfg, &names);
+        let expected = config_hash(cfg, &names);
         let mut r = SnapReader::new(bytes);
         check_header(&mut r, CLUSTER_SNAPSHOT_MAGIC, expected)?;
         let end = SimTime::load(&mut r)?;

@@ -393,107 +393,44 @@ impl ControlState {
 
 use accelflow_sim::snapshot::{SnapReader, SnapWriter, Snapshot, SnapshotError};
 
-impl Snapshot for RateLimit {
-    fn save(&self, w: &mut SnapWriter) {
-        w.f64(self.tokens_per_sec);
-        w.f64(self.burst);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(RateLimit {
-            tokens_per_sec: r.f64()?,
-            burst: r.f64()?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(RateLimit {
+    tokens_per_sec,
+    burst
+});
 
-impl Snapshot for AutoscalerConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        self.interval.save(w);
-        w.usize(self.initial_lit);
-        w.bool(self.adaptive);
-        w.f64(self.light_above);
-        w.f64(self.darken_below);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(AutoscalerConfig {
-            interval: SimDuration::load(r)?,
-            initial_lit: r.usize()?,
-            adaptive: r.bool()?,
-            light_above: r.f64()?,
-            darken_below: r.f64()?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(AutoscalerConfig {
+    interval,
+    initial_lit,
+    adaptive,
+    light_above,
+    darken_below,
+});
 
-impl Snapshot for SloTarget {
-    fn save(&self, w: &mut SnapWriter) {
-        self.window.save(w);
-        self.p99_target.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SloTarget {
-            window: SimDuration::load(r)?,
-            p99_target: SimDuration::load(r)?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(SloTarget { window, p99_target });
 
-impl Snapshot for ControlConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        self.rate_limit.save(w);
-        self.max_live.save(w);
-        self.autoscaler.save(w);
-        self.slo.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ControlConfig {
-            rate_limit: Option::load(r)?,
-            max_live: Option::load(r)?,
-            autoscaler: Option::load(r)?,
-            slo: Option::load(r)?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(ControlConfig {
+    rate_limit,
+    max_live,
+    autoscaler,
+    slo,
+});
 
-impl Snapshot for ControlStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.admitted);
-        w.u64(self.rate_limited);
-        w.u64(self.shed);
-        w.u64(self.slo_windows);
-        w.u64(self.slo_windows_met);
-        w.u64(self.scale_ups);
-        w.u64(self.scale_downs);
-        w.u64(self.scaler_samples);
-        self.scaler_dark_time.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ControlStats {
-            admitted: r.u64()?,
-            rate_limited: r.u64()?,
-            shed: r.u64()?,
-            slo_windows: r.u64()?,
-            slo_windows_met: r.u64()?,
-            scale_ups: r.u64()?,
-            scale_downs: r.u64()?,
-            scaler_samples: r.u64()?,
-            scaler_dark_time: SimDuration::load(r)?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(ControlStats {
+    admitted,
+    rate_limited,
+    shed,
+    slo_windows,
+    slo_windows_met,
+    scale_ups,
+    scale_downs,
+    scaler_samples,
+    scaler_dark_time,
+});
 
-impl Snapshot for TokenBucket {
-    fn save(&self, w: &mut SnapWriter) {
-        w.f64(self.tokens);
-        self.refilled_at.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TokenBucket {
-            tokens: r.f64()?,
-            refilled_at: SimTime::load(r)?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(TokenBucket {
+    tokens,
+    refilled_at
+});
 
 impl Snapshot for ControlState {
     /// Control is deterministic (no RNG), so round-tripping the buckets,

@@ -394,69 +394,34 @@ impl Snapshot for FaultClass {
     }
 }
 
-impl Snapshot for FaultConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        w.f64(self.stall_rate_per_ms);
-        w.f64(self.dma_error_rate_per_ms);
-        w.f64(self.tlb_shootdown_rate_per_ms);
-        w.f64(self.queue_drop_rate_per_ms);
-        w.f64(self.atm_miss_rate_per_ms);
-        self.stall_duration.save(w);
-        self.atm_miss_penalty.save(w);
-        w.u32(self.max_retries);
-        self.backoff_base.save(w);
-        w.u64(self.seed_salt);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FaultConfig {
-            stall_rate_per_ms: r.f64()?,
-            dma_error_rate_per_ms: r.f64()?,
-            tlb_shootdown_rate_per_ms: r.f64()?,
-            queue_drop_rate_per_ms: r.f64()?,
-            atm_miss_rate_per_ms: r.f64()?,
-            stall_duration: SimDuration::load(r)?,
-            atm_miss_penalty: SimDuration::load(r)?,
-            max_retries: r.u32()?,
-            backoff_base: SimDuration::load(r)?,
-            seed_salt: r.u64()?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(FaultConfig {
+    stall_rate_per_ms,
+    dma_error_rate_per_ms,
+    tlb_shootdown_rate_per_ms,
+    queue_drop_rate_per_ms,
+    atm_miss_rate_per_ms,
+    stall_duration,
+    atm_miss_penalty,
+    max_retries,
+    backoff_base,
+    seed_salt,
+});
 
-impl Snapshot for FaultStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.stalls);
-        self.stall_dark_time.save(w);
-        w.u64(self.jobs_failed);
-        w.u64(self.dma_errors);
-        w.u64(self.tlb_shootdowns);
-        w.u64(self.tlb_entries_flushed);
-        w.u64(self.queue_drops);
-        w.u64(self.atm_misses);
-        w.u64(self.atm_refetches);
-        w.u64(self.retries);
-        self.backoff_time.save(w);
-        w.u64(self.redispatches);
-        w.u64(self.degraded);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FaultStats {
-            stalls: r.u64()?,
-            stall_dark_time: SimDuration::load(r)?,
-            jobs_failed: r.u64()?,
-            dma_errors: r.u64()?,
-            tlb_shootdowns: r.u64()?,
-            tlb_entries_flushed: r.u64()?,
-            queue_drops: r.u64()?,
-            atm_misses: r.u64()?,
-            atm_refetches: r.u64()?,
-            retries: r.u64()?,
-            backoff_time: SimDuration::load(r)?,
-            redispatches: r.u64()?,
-            degraded: r.u64()?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(FaultStats {
+    stalls,
+    stall_dark_time,
+    jobs_failed,
+    dma_errors,
+    tlb_shootdowns,
+    tlb_entries_flushed,
+    queue_drops,
+    atm_misses,
+    atm_refetches,
+    retries,
+    backoff_time,
+    redispatches,
+    degraded,
+});
 
 impl Snapshot for FaultState {
     /// The injector round-trips whole — config, the private RNG stream

@@ -16,11 +16,10 @@
 //! carried over. See `docs/CHECKPOINT.md` for the captured/not-captured
 //! accounting and the determinism argument.
 
-use accelflow_accel::queue::TenantId;
 use accelflow_sim::engine::{EventQueue, Model, Simulation};
 use accelflow_sim::slab::SlotId;
 use accelflow_sim::snapshot::{
-    check_header, fnv1a, write_header, SnapReader, SnapWriter, Snapshot, SnapshotError,
+    check_header, config_hash, write_header, SnapReader, SnapWriter, Snapshot, SnapshotError,
 };
 use accelflow_sim::time::{SimDuration, SimTime};
 use accelflow_trace::kind::AccelKind;
@@ -43,14 +42,7 @@ const DRAIN_MARGIN: SimDuration = SimDuration::from_millis(30);
 
 // ----- request-program serialization -----
 
-impl Snapshot for ServiceId {
-    fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ServiceId(r.usize()?))
-    }
-}
+accelflow_sim::snapshot_record!(ServiceId(0));
 
 impl Snapshot for CallAddr {
     fn save(&self, w: &mut SnapWriter) {
@@ -89,62 +81,26 @@ impl Snapshot for SegmentEnd {
     }
 }
 
-impl Snapshot for HopExec {
-    fn save(&self, w: &mut SnapWriter) {
-        self.kind.save(w);
-        self.pm.save(w);
-        w.u64(self.in_bytes);
-        w.u64(self.out_bytes);
-        w.u32(self.glue_instrs);
-        w.u8(self.branches_after);
-        w.bool(self.transform_after);
-        w.bool(self.fork_after);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(HopExec {
-            kind: AccelKind::load(r)?,
-            pm: accelflow_trace::ir::PositionMark::load(r)?,
-            in_bytes: r.u64()?,
-            out_bytes: r.u64()?,
-            glue_instrs: r.u32()?,
-            branches_after: r.u8()?,
-            transform_after: r.bool()?,
-            fork_after: r.bool()?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(HopExec {
+    kind,
+    pm,
+    in_bytes,
+    out_bytes,
+    glue_instrs,
+    branches_after,
+    transform_after,
+    fork_after,
+});
 
-impl Snapshot for Segment {
-    fn save(&self, w: &mut SnapWriter) {
-        self.trace.save(w);
-        self.flags.save(w);
-        w.bool(self.entry_is_network);
-        self.hops.save(w);
-        self.end.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Segment {
-            trace: std::sync::Arc::load(r)?,
-            flags: accelflow_trace::cond::PayloadFlags::load(r)?,
-            entry_is_network: r.bool()?,
-            hops: Vec::load(r)?,
-            end: SegmentEnd::load(r)?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(Segment {
+    trace,
+    flags,
+    entry_is_network,
+    hops,
+    end,
+});
 
-impl Snapshot for TraceCall {
-    fn save(&self, w: &mut SnapWriter) {
-        self.segments.save(w);
-        w.u64(self.vaddr);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TraceCall {
-            segments: Vec::load(r)?,
-            vaddr: r.u64()?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(TraceCall { segments, vaddr });
 
 impl Snapshot for Step {
     fn save(&self, w: &mut SnapWriter) {
@@ -173,83 +129,35 @@ impl Snapshot for Step {
     }
 }
 
-impl Snapshot for Program {
-    fn save(&self, w: &mut SnapWriter) {
-        self.steps.save(w);
-        self.slo_slack.save(w);
-        w.u8(self.priority);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Program {
-            steps: Vec::load(r)?,
-            slo_slack: Option::load(r)?,
-            priority: r.u8()?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(Program {
+    steps,
+    slo_slack,
+    priority,
+});
 
-impl Snapshot for Arrival {
-    fn save(&self, w: &mut SnapWriter) {
-        self.at.save(w);
-        self.service.save(w);
-        self.tenant.save(w);
-        self.program.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Arrival {
-            at: SimTime::load(r)?,
-            service: ServiceId::load(r)?,
-            tenant: TenantId::load(r)?,
-            program: Program::load(r)?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(Arrival {
+    at,
+    service,
+    tenant,
+    program,
+});
 
-impl Snapshot for super::lifecycle::RequestState {
-    fn save(&self, w: &mut SnapWriter) {
-        self.service.save(w);
-        self.tenant.save(w);
-        self.arrival.save(w);
-        w.bool(self.measured);
-        self.program.save(w);
-        w.usize(self.step);
-        w.u32(self.pending_calls);
-        w.u32(self.active_calls);
-        w.u32(self.completed_pars);
-        self.deadline.save(w);
-        w.bool(self.done);
-        w.bool(self.error);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(super::lifecycle::RequestState {
-            service: ServiceId::load(r)?,
-            tenant: TenantId::load(r)?,
-            arrival: SimTime::load(r)?,
-            measured: r.bool()?,
-            program: Program::load(r)?,
-            step: r.usize()?,
-            pending_calls: r.u32()?,
-            active_calls: r.u32()?,
-            completed_pars: r.u32()?,
-            deadline: Option::load(r)?,
-            done: r.bool()?,
-            error: r.bool()?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(super::lifecycle::RequestState {
+    service,
+    tenant,
+    arrival,
+    measured,
+    program,
+    step,
+    pending_calls,
+    active_calls,
+    completed_pars,
+    deadline,
+    done,
+    error,
+});
 
-impl Snapshot for SharedJob {
-    fn save(&self, w: &mut SnapWriter) {
-        self.entry.save(w);
-        self.kind.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SharedJob {
-            entry: accelflow_accel::queue::QueueEntry::load(r)?,
-            kind: AccelKind::load(r)?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(SharedJob { entry, kind });
 
 // ----- event serialization -----
 
@@ -372,121 +280,60 @@ impl Snapshot for Ev {
 
 // ----- measurement-sink serialization -----
 
-impl Snapshot for Breakdown {
-    fn save(&self, w: &mut SnapWriter) {
-        self.cpu.save(w);
-        self.accel.save(w);
-        self.orchestration.save(w);
-        self.communication.save(w);
-        self.external.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Breakdown {
-            cpu: SimDuration::load(r)?,
-            accel: SimDuration::load(r)?,
-            orchestration: SimDuration::load(r)?,
-            communication: SimDuration::load(r)?,
-            external: SimDuration::load(r)?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(Breakdown {
+    cpu,
+    accel,
+    orchestration,
+    communication,
+    external,
+});
 
-impl Snapshot for ServiceStats {
-    fn save(&self, w: &mut SnapWriter) {
-        self.name.save(w);
-        self.latency.save(w);
-        w.u64(self.offered);
-        w.u64(self.completed);
-        w.u64(self.errors);
-        w.u64(self.deadline_misses);
-        self.breakdown.save(w);
-        self.tax_by_kind.save(w);
-        self.app_logic.save(w);
-        self.samples.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ServiceStats {
-            name: String::load(r)?,
-            latency: accelflow_sim::stats::Histogram::load(r)?,
-            offered: r.u64()?,
-            completed: r.u64()?,
-            errors: r.u64()?,
-            deadline_misses: r.u64()?,
-            breakdown: Breakdown::load(r)?,
-            tax_by_kind: <[SimDuration; AccelKind::COUNT]>::load(r)?,
-            app_logic: SimDuration::load(r)?,
-            samples: Vec::load(r)?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(ServiceStats {
+    name,
+    latency,
+    offered,
+    completed,
+    errors,
+    deadline_misses,
+    breakdown,
+    tax_by_kind,
+    app_logic,
+    samples,
+});
 
-impl Snapshot for MachineTotals {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.fallbacks);
-        w.u64(self.overflows);
-        w.u64(self.enqueue_rejections);
-        w.u64(self.tcp_timeouts);
-        w.u64(self.page_faults);
-        w.u64(self.atm_reads);
-        w.u64(self.dispatcher_instrs);
-        w.u64(self.dispatches);
-        w.u64(self.manager_jobs);
-        self.manager_busy.save(w);
-        self.accel_utilization.save(w);
-        self.accel_jobs.save(w);
-        self.tlb.save(w);
-        w.u64(self.tenant_wipes);
-        w.u64(self.tenant_throttled);
-        w.u64(self.clamped_events);
-        w.u64(self.dma_bytes);
-        self.energy.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(MachineTotals {
-            fallbacks: r.u64()?,
-            overflows: r.u64()?,
-            enqueue_rejections: r.u64()?,
-            tcp_timeouts: r.u64()?,
-            page_faults: r.u64()?,
-            atm_reads: r.u64()?,
-            dispatcher_instrs: r.u64()?,
-            dispatches: r.u64()?,
-            manager_jobs: r.u64()?,
-            manager_busy: SimDuration::load(r)?,
-            accel_utilization: <[f64; AccelKind::COUNT]>::load(r)?,
-            accel_jobs: <[u64; AccelKind::COUNT]>::load(r)?,
-            tlb: <[(u64, u64); AccelKind::COUNT]>::load(r)?,
-            tenant_wipes: r.u64()?,
-            tenant_throttled: r.u64()?,
-            clamped_events: r.u64()?,
-            dma_bytes: r.u64()?,
-            energy: accelflow_arch::energy::EnergyReport::load(r)?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(MachineTotals {
+    fallbacks,
+    overflows,
+    enqueue_rejections,
+    tcp_timeouts,
+    page_faults,
+    atm_reads,
+    dispatcher_instrs,
+    dispatches,
+    manager_jobs,
+    manager_busy,
+    accel_utilization,
+    accel_jobs,
+    tlb,
+    tenant_wipes,
+    tenant_throttled,
+    clamped_events,
+    dma_bytes,
+    energy,
+});
 
-impl Snapshot for TelState {
-    /// The telemetry ring restores *empty* (records hold `&'static str`
-    /// names that cannot round-trip through bytes); `emitted`/`dropped`
-    /// counters, labels, and the windowed sampler all persist, so a
-    /// restored run's telemetry report differs from a straight run's
-    /// only in which record window the ring retains — documented in
-    /// `docs/CHECKPOINT.md` under "not captured".
-    fn save(&self, w: &mut SnapWriter) {
-        self.sink.save(w);
-        self.sampler.save(w);
-        self.prev_busy.save(w);
-        self.prev_at.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TelState {
-            sink: accelflow_sim::telemetry::Telemetry::load(r)?,
-            sampler: accelflow_sim::telemetry::Sampler::load(r)?,
-            prev_busy: Vec::load(r)?,
-            prev_at: SimTime::load(r)?,
-        })
-    }
-}
+// The telemetry ring restores *empty* (records hold `&'static str`
+// names that cannot round-trip through bytes); `emitted`/`dropped`
+// counters, labels, and the windowed sampler all persist, so a restored
+// run's telemetry report differs from a straight run's only in which
+// record window the ring retains — documented in `docs/CHECKPOINT.md`
+// under "not captured".
+accelflow_sim::snapshot_record!(TelState {
+    sink,
+    sampler,
+    prev_busy,
+    prev_at,
+});
 
 // ----- whole-machine checkpoint -----
 
@@ -578,20 +425,6 @@ impl MachineCtx {
 }
 
 impl Machine {
-    /// The configuration-identity hash carried in snapshot headers:
-    /// FNV-1a over the config's `Debug` rendering plus the service
-    /// names. The workload seed is *not* part of the identity — every
-    /// RNG stream position is serialized, so a snapshot carries its
-    /// seed's consequences with it.
-    pub fn config_hash(cfg: &MachineConfig, service_names: &[String]) -> u64 {
-        let mut buf = format!("{cfg:?}").into_bytes();
-        for name in service_names {
-            buf.push(0);
-            buf.extend_from_slice(name.as_bytes());
-        }
-        fnv1a(&buf)
-    }
-
     /// Serializes the machine and its pending event set into a
     /// versioned snapshot. `queue` is borrowed mutably because
     /// observing delivery order requires a non-destructive drain (see
@@ -599,11 +432,7 @@ impl Machine {
     pub fn snapshot(&self, queue: &mut EventQueue<Ev>) -> Vec<u8> {
         let names: Vec<String> = self.ctx.stats.iter().map(|s| s.name.clone()).collect();
         let mut w = SnapWriter::new();
-        write_header(
-            &mut w,
-            SNAPSHOT_MAGIC,
-            Self::config_hash(&self.ctx.cfg, &names),
-        );
+        write_header(&mut w, SNAPSHOT_MAGIC, config_hash(&self.ctx.cfg, &names));
         self.ctx.save_dynamic(&mut w);
         queue.save_snapshot(&mut w);
         w.into_bytes()
@@ -620,7 +449,7 @@ impl Machine {
         service_names: &[String],
         bytes: &[u8],
     ) -> Result<(Machine, EventQueue<Ev>), SnapshotError> {
-        let expected = Self::config_hash(cfg, service_names);
+        let expected = config_hash(cfg, service_names);
         let mut r = SnapReader::new(bytes);
         check_header(&mut r, SNAPSHOT_MAGIC, expected)?;
         let machine = Machine::restore_dynamic(cfg, service_names, &mut r)?;
@@ -731,12 +560,6 @@ impl<F: FnMut(SimTime, &Ev)> MachineRun<F> {
         let end = SimTime::ZERO + duration;
         let machine = Machine::new(cfg.clone(), names, arrivals, end, seed);
         let mut sim = Simulation::new(ObservedMachine { machine, observe });
-        // Pre-reserve the event heap for the steady-state population:
-        // each in-flight request contributes a handful of pending
-        // events, bounded by the arrival backlog. Keeps the hot
-        // schedule path allocation-free.
-        let backlog = sim.model().machine.ctx.arrivals.len().clamp(256, 16_384);
-        sim.queue_mut().reserve(backlog);
         if let Some(first) = sim.model().machine.ctx.arrivals.last() {
             let at = first.at;
             sim.queue_mut().schedule_at(at, Ev::Arrive(0));

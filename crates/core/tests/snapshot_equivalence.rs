@@ -353,3 +353,77 @@ fn machine_snapshot_is_not_a_cluster_snapshot() {
         other => panic!("expected BadMagic, got {:?}", other.err()),
     }
 }
+
+// ---------------------------------------------------------------------
+// Wire-format pin: the exact bytes a snapshot serializes to.
+// ---------------------------------------------------------------------
+
+/// `full_config` with the auditor and telemetry also on, so every
+/// optional state block is present in the snapshot.
+fn pinned_config(policy: Policy) -> accelflow_core::machine::MachineConfig {
+    let mut cfg = full_config(policy);
+    cfg.audit = true;
+    cfg.telemetry = true;
+    cfg
+}
+
+/// `(length, fnv1a)` of a machine snapshot taken mid-run.
+fn machine_fingerprint(policy: Policy) -> (usize, u64) {
+    let cfg = pinned_config(policy);
+    let mut run = MachineRun::start(
+        &cfg,
+        &services(),
+        arrivals(RPS, DURATION, SEED),
+        DURATION,
+        SEED,
+        |_, _: &Ev| {},
+    );
+    run.run_to(SimTime::ZERO + SimDuration::from_millis(6));
+    let bytes = run.snapshot();
+    (bytes.len(), accelflow_sim::snapshot::fnv1a(&bytes))
+}
+
+/// `(length, fnv1a)` of a three-node cluster snapshot taken mid-run.
+fn cluster_fingerprint() -> (usize, u64) {
+    let cfg = ClusterConfig::new(3, pinned_config(Policy::AccelFlow));
+    let mut run = ClusterRun::start(
+        &cfg,
+        &services(),
+        arrivals(3.0 * RPS, DURATION, SEED),
+        DURATION,
+        SEED,
+        |_, _, _| {},
+    );
+    run.run_to(SimTime::ZERO + SimDuration::from_millis(6));
+    let bytes = run.snapshot();
+    (bytes.len(), accelflow_sim::snapshot::fnv1a(&bytes))
+}
+
+#[test]
+fn snapshot_bytes_are_pinned() {
+    // The wire layout is not self-describing, so any change to what a
+    // snapshot writes (field order, width, a dropped or added field)
+    // must bump SCHEMA_VERSION. These constants pin the version-1
+    // bytes; a codec refactor that is meant to be layout-neutral must
+    // leave them untouched.
+    assert_eq!(accelflow_sim::snapshot::SCHEMA_VERSION, 1);
+    let pinned: [(Policy, usize, u64); 5] = [
+        (Policy::NonAcc, 108_193, 0x0a95_c97d_9fdb_0049),
+        (Policy::CpuCentric, 112_289, 0xf744_eeb8_8f48_77ca),
+        (Policy::Relief, 110_198, 0xd8e5_be39_fa92_9f96),
+        (Policy::AccelFlow, 110_342, 0xb303_a004_b1b6_4f30),
+        (Policy::Cohort, 111_745, 0xcfd9_30d0_f00e_8b87),
+    ];
+    for (policy, len, hash) in pinned {
+        assert_eq!(
+            machine_fingerprint(policy),
+            (len, hash),
+            "{policy}: machine snapshot bytes changed"
+        );
+    }
+    assert_eq!(
+        cluster_fingerprint(),
+        (340_054, 0x3528_4222_a8ce_d06e),
+        "cluster snapshot bytes changed"
+    );
+}

@@ -104,16 +104,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Capacity hint, retained for API stability. The calendar sizes
-    /// its ring from the *live* pending-event population through
-    /// adaptive rebuilds — a caller's total-event estimate (e.g. an
-    /// arrival backlog) routinely overshoots the steady-state population
-    /// by orders of magnitude, and an oversized ring costs more in cache
-    /// footprint than rebuilds ever do — so this is a no-op.
-    pub fn reserve(&mut self, additional: usize) {
-        let _ = additional;
-    }
-
     /// The current simulated time (the timestamp of the event being
     /// handled, or the last one handled).
     pub fn now(&self) -> SimTime {
@@ -589,7 +579,6 @@ mod tests {
     #[test]
     fn with_capacity_preallocates() {
         let mut q: EventQueue<u32> = EventQueue::with_capacity(1000);
-        q.reserve(2000);
         for i in 0..1000 {
             q.schedule(SimDuration::from_picos(i), i as u32);
         }

@@ -19,13 +19,14 @@
 //!   [`Histogram`], counters, and busy-time (utilization) trackers.
 //! - [`resource`] — helpers for modeling pools of identical servers
 //!   (DMA engines, processing elements, CPU cores).
-//! - [`trace_log`] — an event-tracing wrapper for debugging models.
 //! - [`snapshot`] — versioned checkpoint serialization: the
 //!   [`Snapshot`](snapshot::Snapshot) trait and wire format behind
 //!   `Machine::{snapshot,restore}` (see `docs/CHECKPOINT.md`).
 //! - [`telemetry`] — structured observability: component-keyed event
 //!   records, windowed time-series sampling, and a Chrome `trace_event`
 //!   exporter (see `docs/METRICS.md` for the metric glossary).
+//! - [`json`] — a small JSON reader/writer: workload configuration
+//!   files and the Chrome-trace schema check both parse through it.
 //!
 //! # Example
 //!
@@ -62,6 +63,7 @@
 
 mod calendar;
 pub mod engine;
+pub mod json;
 pub mod resource;
 pub mod rng;
 pub mod slab;
@@ -69,7 +71,6 @@ pub mod snapshot;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod trace_log;
 
 pub use engine::{EventQueue, Model, Simulation};
 pub use rng::SimRng;

@@ -196,20 +196,7 @@ impl<T> Slab<T> {
     }
 }
 
-impl crate::snapshot::Snapshot for SlotId {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.u32(self.index);
-        w.u32(self.gen);
-    }
-    fn load(
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        Ok(SlotId {
-            index: r.u32()?,
-            gen: r.u32()?,
-        })
-    }
-}
+crate::snapshot_record!(SlotId { index, gen });
 
 impl<T: crate::snapshot::Snapshot> crate::snapshot::Snapshot for Slab<T> {
     /// The full table round-trips — slot generations, the free list,

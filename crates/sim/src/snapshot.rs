@@ -285,6 +285,66 @@ macro_rules! prim_snapshot {
     };
 }
 
+/// Implements [`Snapshot`] for a plain record from one field list.
+///
+/// `save` writes each listed field through [`Snapshot::save`] in list
+/// order; `load` reads them back in the same order into a struct
+/// literal, so a field missing from the list is a compile error and the
+/// two halves cannot drift apart. A newtype lists its one position:
+/// `snapshot_record!(Id(0))`.
+///
+/// Types whose codec is not a field list keep a hand-written impl:
+/// enums (a tag byte picks the variant), loads that validate, and
+/// fields stored in a different form than they are held in memory.
+///
+/// ```
+/// use accelflow_sim::snapshot::{SnapReader, SnapWriter, Snapshot};
+/// use accelflow_sim::time::SimDuration;
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Window {
+///     opened: u64,
+///     span: SimDuration,
+/// }
+/// accelflow_sim::snapshot_record!(Window { opened, span });
+///
+/// let w = Window { opened: 3, span: SimDuration::from_micros(5) };
+/// let mut out = SnapWriter::new();
+/// w.save(&mut out);
+/// let bytes = out.into_bytes();
+/// assert_eq!(bytes.len(), 16);
+/// assert_eq!(Window::load(&mut SnapReader::new(&bytes)).unwrap(), w);
+/// ```
+#[macro_export]
+macro_rules! snapshot_record {
+    ($t:ident(0)) => {
+        impl $crate::snapshot::Snapshot for $t {
+            fn save(&self, w: &mut $crate::snapshot::SnapWriter) {
+                $crate::snapshot::Snapshot::save(&self.0, w);
+            }
+            fn load(
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                Ok(Self($crate::snapshot::Snapshot::load(r)?))
+            }
+        }
+    };
+    ($t:ty { $($f:ident),+ $(,)? }) => {
+        impl $crate::snapshot::Snapshot for $t {
+            fn save(&self, w: &mut $crate::snapshot::SnapWriter) {
+                $($crate::snapshot::Snapshot::save(&self.$f, w);)+
+            }
+            fn load(
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                Ok(Self {
+                    $($f: $crate::snapshot::Snapshot::load(r)?,)+
+                })
+            }
+        }
+    };
+}
+
 prim_snapshot!(u8, u8, u8);
 prim_snapshot!(u16, u16, u16);
 prim_snapshot!(u32, u32, u32);
@@ -402,35 +462,6 @@ impl<T: Snapshot + Copy + Default, const N: usize> Snapshot for [T; N] {
     }
 }
 
-impl Snapshot for crate::time::SimTime {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.as_picos());
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(crate::time::SimTime::from_picos(r.u64()?))
-    }
-}
-
-impl Snapshot for crate::time::SimDuration {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.as_picos());
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(crate::time::SimDuration::from_picos(r.u64()?))
-    }
-}
-
-impl Snapshot for crate::stats::BusyTracker {
-    fn save(&self, w: &mut SnapWriter) {
-        self.busy().save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let mut t = crate::stats::BusyTracker::new();
-        t.add_busy(crate::time::SimDuration::load(r)?);
-        Ok(t)
-    }
-}
-
 /// FNV-1a over `bytes` — the configuration-identity hash carried in
 /// snapshot headers. Stable, dependency-free, and good enough to catch
 /// a mismatched restore target (the guard is against *accidents*, not
@@ -442,6 +473,20 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The configuration-identity hash a run stamps into its snapshot
+/// headers: [`fnv1a`] over the config's `Debug` rendering plus the
+/// service names. The workload seed is *not* part of the identity —
+/// every RNG stream position is serialized, so a snapshot carries its
+/// seed's consequences with it.
+pub fn config_hash(cfg: &impl std::fmt::Debug, service_names: &[String]) -> u64 {
+    let mut buf = format!("{cfg:?}").into_bytes();
+    for name in service_names {
+        buf.push(0);
+        buf.extend_from_slice(name.as_bytes());
+    }
+    fnv1a(&buf)
 }
 
 /// Writes the versioned snapshot header: 4 magic bytes,

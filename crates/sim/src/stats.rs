@@ -288,6 +288,8 @@ impl Counter {
     }
 }
 
+crate::snapshot_record!(BusyTracker { busy });
+
 impl crate::snapshot::Snapshot for Histogram {
     fn save(&self, w: &mut crate::snapshot::SnapWriter) {
         self.buckets.save(w);

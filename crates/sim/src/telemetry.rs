@@ -46,6 +46,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use crate::json::Value;
 use crate::stats::Histogram;
 use crate::time::{SimDuration, SimTime};
 
@@ -780,9 +781,9 @@ fn escape_json(s: &str) -> String {
 }
 
 // --------------------------------------------------------------------
-// Chrome-trace validation: a dependency-free JSON subset parser used by
-// the golden tests and the `stats_profile` binary to prove the export
-// is schema-valid (the build environment has no serde to round-trip
+// Chrome-trace validation: the golden tests and the `stats_profile`
+// binary parse the export back through `crate::json` to prove it is
+// schema-valid (the build environment has no serde to round-trip
 // through).
 
 /// Shape summary returned by [`validate_chrome_trace`].
@@ -802,216 +803,6 @@ pub struct TraceSummary {
     pub metadata: usize,
 }
 
-#[derive(Debug)]
-enum Json {
-    Object(Vec<(String, Json)>),
-    Array(Vec<Json>),
-    String(String),
-    Number,
-    Bool,
-    Null,
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn is_number(&self) -> bool {
-        matches!(self, Json::Number)
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool),
-            Some(b'f') => self.literal("false", Json::Bool),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from a
-                    // &str, so boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        s.parse::<f64>()
-            .map(|_| Json::Number)
-            .map_err(|_| self.err("bad number"))
-    }
-}
-
 /// Parses `json` and checks the Chrome `trace_event` schema: a
 /// top-level object with a `traceEvents` array, every event an object
 /// carrying a one-character string `ph`, numeric `ts` (except `ph:"M"`
@@ -1020,40 +811,37 @@ impl<'a> Parser<'a> {
 ///
 /// Returns a shape summary, or a description of the first violation.
 pub fn validate_chrome_trace(json: &str) -> Result<TraceSummary, String> {
-    let mut p = Parser::new(json);
-    let root = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data"));
-    }
+    let root = crate::json::parse(json).map_err(|e| e.to_string())?;
     let events = root
         .get("traceEvents")
         .ok_or("missing traceEvents")?
-        .pipe_array()?;
+        .as_arr()
+        .ok_or("traceEvents is not an array")?;
+    let is_number = |v: Option<&Value>| v.and_then(Value::as_f64).is_some();
     let mut summary = TraceSummary::default();
     for (i, ev) in events.iter().enumerate() {
         let ctx = |field: &str| format!("event {i}: {field}");
         let ph = ev
             .get("ph")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or_else(|| ctx("missing string ph"))?;
         if ph.len() != 1 {
             return Err(ctx("ph must be one character"));
         }
         for field in ["pid", "tid"] {
-            if !ev.get(field).is_some_and(Json::is_number) {
+            if !is_number(ev.get(field)) {
                 return Err(ctx(&format!("missing numeric {field}")));
             }
         }
-        if ev.get("name").and_then(Json::as_str).is_none() {
+        if ev.get("name").and_then(Value::as_str).is_none() {
             return Err(ctx("missing string name"));
         }
-        let has_ts = ev.get("ts").is_some_and(Json::is_number);
+        let has_ts = is_number(ev.get("ts"));
         match ph {
             "M" => summary.metadata += 1,
             _ if !has_ts => return Err(ctx("missing numeric ts")),
             "X" => {
-                if !ev.get("dur").is_some_and(Json::is_number) {
+                if !is_number(ev.get("dur")) {
                     return Err(ctx("span missing numeric dur"));
                 }
                 summary.spans += 1;
@@ -1071,15 +859,6 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceSummary, String> {
         summary.events += 1;
     }
     Ok(summary)
-}
-
-impl Json {
-    fn pipe_array(&self) -> Result<&[Json], String> {
-        match self {
-            Json::Array(items) => Ok(items),
-            _ => Err("traceEvents is not an array".into()),
-        }
-    }
 }
 
 impl crate::snapshot::Snapshot for CompKind {
@@ -1114,20 +893,7 @@ impl crate::snapshot::Snapshot for CompKind {
     }
 }
 
-impl crate::snapshot::Snapshot for CompId {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        self.kind.save(w);
-        w.u16(self.index);
-    }
-    fn load(
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        Ok(CompId {
-            kind: CompKind::load(r)?,
-            index: r.u16()?,
-        })
-    }
-}
+crate::snapshot_record!(CompId { kind, index });
 
 impl crate::snapshot::Snapshot for Sampler {
     fn save(&self, w: &mut crate::snapshot::SnapWriter) {

@@ -170,6 +170,9 @@ impl fmt::Display for SimDuration {
     }
 }
 
+crate::snapshot_record!(SimTime(0));
+crate::snapshot_record!(SimDuration(0));
+
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {

@@ -39,18 +39,7 @@ impl Snapshot for DataFormat {
     }
 }
 
-impl Snapshot for Transform {
-    fn save(&self, w: &mut SnapWriter) {
-        self.src.save(w);
-        self.dst.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Transform {
-            src: DataFormat::load(r)?,
-            dst: DataFormat::load(r)?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(Transform { src, dst });
 
 impl Snapshot for BranchCond {
     fn save(&self, w: &mut SnapWriter) {
@@ -71,44 +60,18 @@ impl Snapshot for BranchCond {
     }
 }
 
-impl Snapshot for AtmAddr {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u16(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(AtmAddr(r.u16()?))
-    }
-}
+accelflow_sim::snapshot_record!(AtmAddr(0));
 
-impl Snapshot for PositionMark {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(PositionMark(r.u8()?))
-    }
-}
+accelflow_sim::snapshot_record!(PositionMark(0));
 
-impl Snapshot for PayloadFlags {
-    fn save(&self, w: &mut SnapWriter) {
-        w.bool(self.compressed);
-        w.bool(self.hit);
-        w.bool(self.found);
-        w.bool(self.exception);
-        w.bool(self.cache_compressed);
-        w.u8(self.custom_field);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(PayloadFlags {
-            compressed: r.bool()?,
-            hit: r.bool()?,
-            found: r.bool()?,
-            exception: r.bool()?,
-            cache_compressed: r.bool()?,
-            custom_field: r.u8()?,
-        })
-    }
-}
+accelflow_sim::snapshot_record!(PayloadFlags {
+    compressed,
+    hit,
+    found,
+    exception,
+    cache_compressed,
+    custom_field,
+});
 
 impl Snapshot for Slot {
     fn save(&self, w: &mut SnapWriter) {

@@ -60,31 +60,30 @@ impl BurstyProfile {
             .map(|(s, w)| s * w / wsum)
             .sum()
     }
-}
 
-/// A shared burst timeline: production surges hit the whole machine at
-/// once (a traffic spike raises the load of every colocated service),
-/// so one modulation sequence drives all services.
-fn burst_timeline(
-    profile: &BurstyProfile,
-    duration: SimDuration,
-    rng: &mut SimRng,
-) -> Vec<(SimTime, SimTime, f64)> {
-    let norm = profile.mean_multiplier();
-    let mut segments = Vec::new();
-    let mut t = SimTime::ZERO;
-    let end = SimTime::ZERO + duration;
-    while t < end {
-        let state = profile.states[rng.weighted_index(&profile.weights)] / norm;
-        let dwell = SimDuration::from_micros_f64(rng.exponential(profile.dwell.as_micros_f64()));
-        let seg_end = (t + dwell).min(end);
-        segments.push((t, seg_end, state));
-        t = seg_end;
+    /// Draws the MMPP segment sequence covering `[0, duration)` from
+    /// `rng`: per segment, a state picked by weight, then an
+    /// exponential dwell clamped at the horizon. Returns `(end,
+    /// multiplier)` pairs — ends ascending, each segment starting where
+    /// the previous one ended, the last ending at the horizon;
+    /// multipliers normalized to unit mean.
+    pub(crate) fn segments(&self, duration: SimDuration, rng: &mut SimRng) -> Vec<(SimTime, f64)> {
+        let norm = self.mean_multiplier();
+        let mut segments = Vec::new();
+        let mut t = SimTime::ZERO;
+        let end = SimTime::ZERO + duration;
+        while t < end {
+            let mult = self.states[rng.weighted_index(&self.weights)] / norm;
+            let dwell = SimDuration::from_micros_f64(rng.exponential(self.dwell.as_micros_f64()));
+            t = (t + dwell).min(end);
+            segments.push((t, mult));
+        }
+        segments
     }
-    segments
 }
 
-/// Generates one service's arrivals along a shared burst timeline.
+/// Generates one service's arrivals along a shared burst timeline
+/// ([`BurstyProfile::segments`]).
 #[allow(clippy::too_many_arguments)]
 fn mmpp_arrivals(
     svc: &ServiceSpec,
@@ -92,18 +91,20 @@ fn mmpp_arrivals(
     lib: &TraceLibrary,
     timing: &ServiceTimeModel,
     mean_rps: f64,
-    timeline: &[(SimTime, SimTime, f64)],
+    timeline: &[(SimTime, f64)],
     rng: &mut SimRng,
     counter: &mut u64,
 ) -> Vec<Arrival> {
     let mut arrivals = Vec::new();
-    for &(start, seg_end, state) in timeline {
+    let mut start = SimTime::ZERO;
+    for &(seg_end, state) in timeline {
+        let seg_start = std::mem::replace(&mut start, seg_end);
         let rate = mean_rps * state;
         if rate <= 0.0 {
             continue;
         }
         let mean_gap_us = 1e6 / rate;
-        let mut t = start;
+        let mut t = seg_start;
         loop {
             let gap = SimDuration::from_micros_f64(rng.exponential(mean_gap_us));
             if t + gap >= seg_end {
@@ -174,9 +175,11 @@ pub fn bursty_arrivals(
     seed: u64,
     profile: &BurstyProfile,
 ) -> Vec<Arrival> {
+    // Production surges hit the whole machine at once (a traffic spike
+    // raises the load of every colocated service), so one modulation
+    // sequence drives all services.
     let mut master = SimRng::seed(seed);
-    let mut timeline_rng = master.fork(0xB00);
-    let timeline = burst_timeline(profile, duration, &mut timeline_rng);
+    let timeline = profile.segments(duration, &mut master.fork(0xB00));
     let mut counter = 0u64;
     let mut all = Vec::new();
     for (idx, svc) in services.iter().enumerate() {

@@ -27,7 +27,7 @@ use accelflow_core::request::{
 use accelflow_sim::time::SimDuration;
 use accelflow_trace::templates::TemplateId;
 
-use crate::json::{parse, ParseError, Value};
+use accelflow_sim::json::{parse, ParseError, Value};
 
 /// An error loading a workload config.
 #[derive(Clone, Debug, PartialEq)]

@@ -226,10 +226,9 @@ impl ArrivalProcess for FlashCrowd {
 #[derive(Clone, Debug)]
 pub struct CorrelatedBursts {
     label: &'static str,
-    /// Segment end times, ascending; the last equals the horizon.
-    ends: Vec<SimTime>,
-    /// Rate multiplier of each segment (normalized to unit mean).
-    mults: Vec<f64>,
+    /// `(end, multiplier)` per segment, ends ascending, the last at the
+    /// horizon; multipliers normalized to unit mean.
+    segments: Vec<(SimTime, f64)>,
     peak: f64,
 }
 
@@ -241,26 +240,13 @@ impl CorrelatedBursts {
         duration: SimDuration,
         seed: u64,
     ) -> Self {
-        let norm = profile.mean_multiplier();
         let mut rng = SimRng::seed(seed ^ OPENLOOP_STREAM_SALT).fork(0xB00);
-        let end = SimTime::ZERO + duration;
-        let (mut ends, mut mults) = (Vec::new(), Vec::new());
-        let mut t = SimTime::ZERO;
-        let mut peak = 0.0f64;
-        while t < end {
-            let mult = profile.states[rng.weighted_index(&profile.weights)] / norm;
-            let dwell =
-                SimDuration::from_micros_f64(rng.exponential(profile.dwell.as_micros_f64()));
-            t = (t + dwell).min(end);
-            ends.push(t);
-            mults.push(mult);
-            peak = peak.max(mult);
-        }
+        let segments = profile.segments(duration, &mut rng);
+        let peak = segments.iter().fold(1e-9f64, |p, &(_, m)| p.max(m));
         CorrelatedBursts {
             label,
-            ends,
-            mults,
-            peak: peak.max(1e-9),
+            segments,
+            peak,
         }
     }
 
@@ -279,8 +265,8 @@ impl ArrivalProcess for CorrelatedBursts {
     }
     fn intensity(&self, at: SimTime) -> f64 {
         // First segment whose end lies strictly after `at` holds it.
-        let i = self.ends.partition_point(|&e| e <= at);
-        self.mults.get(i).copied().unwrap_or(0.0)
+        let i = self.segments.partition_point(|&(end, _)| end <= at);
+        self.segments.get(i).map_or(0.0, |&(_, mult)| mult)
     }
 }
 
