@@ -311,6 +311,12 @@ impl ArchConfig {
         if self.accel_tlb_ways == 0 || !self.accel_tlb_entries.is_multiple_of(self.accel_tlb_ways) {
             return Err("TLB entries must be divisible by associativity".into());
         }
+        if self.accel_tlb_entries.max(self.accel_tlb_ways) > crate::tlb::MAX_ENTRIES {
+            return Err(format!(
+                "TLB entries and ways must not exceed {}",
+                crate::tlb::MAX_ENTRIES
+            ));
+        }
         if !self.page_bytes.is_power_of_two() {
             return Err("page size must be a power of two".into());
         }
@@ -391,6 +397,9 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = ArchConfig::icelake();
         cfg.accel_tlb_ways = 3; // 2048 % 3 != 0
+        assert!(cfg.validate().is_err());
+        let mut cfg = ArchConfig::icelake();
+        cfg.accel_tlb_entries = crate::tlb::MAX_ENTRIES * 2;
         assert!(cfg.validate().is_err());
         let mut cfg = ArchConfig::icelake();
         cfg.page_bytes = 3000;

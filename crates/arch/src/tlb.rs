@@ -31,6 +31,13 @@ struct TlbTag {
     stamp: u64,
 }
 
+/// The most entries (sets × ways) a TLB may hold, and the most ways
+/// (below `u16::MAX`, so a set's occupancy always fits its `u16`).
+/// [`ArchConfig::validate`] refuses larger configurations, so a snapshot
+/// claiming more is corrupt and is refused before anything is
+/// allocated.
+pub(crate) const MAX_ENTRIES: usize = 1 << 15;
+
 /// A set-associative, LRU address-translation cache with an IOMMU
 /// page-walk penalty on miss.
 ///
@@ -259,11 +266,14 @@ impl accelflow_sim::snapshot::Snapshot for Tlb {
         r: &mut accelflow_sim::snapshot::SnapReader<'_>,
     ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
         use accelflow_sim::snapshot::SnapshotError;
-        let n_sets = r.usize()?;
+        // Each set carries at least its u16 occupancy, so the set count
+        // is bounded by the bytes left; the arena by MAX_ENTRIES.
+        let n_sets = r.seq_len()?;
         let ways = r.usize()?;
-        if n_sets == 0 || ways == 0 {
+        let fits = n_sets.checked_mul(ways).is_some_and(|e| e <= MAX_ENTRIES);
+        if n_sets == 0 || ways == 0 || !fits {
             return Err(SnapshotError::Corrupt(format!(
-                "degenerate TLB geometry: {n_sets} sets x {ways} ways"
+                "TLB geometry {n_sets} sets x {ways} ways is empty or above {MAX_ENTRIES} entries"
             )));
         }
         let page_shift = r.u32()?;
@@ -419,6 +429,37 @@ mod tests {
         let mut t = Tlb::new(&cfg);
         assert!(!t.translate(ProcessId(2), 0x1000).hit);
         assert!(t.translate(ProcessId(2), 0x1000).hit);
+    }
+
+    #[test]
+    fn huge_tlb_geometry_is_refused_before_allocating() {
+        use accelflow_sim::snapshot::{SnapReader, SnapWriter, Snapshot, SnapshotError};
+        let mut w = SnapWriter::new();
+        tlb().save(&mut w);
+        let bytes = w.into_bytes();
+        let load = |sets: u64, ways: u64| {
+            let mut b = bytes.clone();
+            b[0..8].copy_from_slice(&sets.to_le_bytes());
+            b[8..16].copy_from_slice(&ways.to_le_bytes());
+            Tlb::load(&mut SnapReader::new(&b))
+        };
+        // A flipped high bit in the way count once asked for a
+        // 3.4 × 10^18-byte arena and aborted the process.
+        let sets = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
+        for (sets, ways) in [
+            (sets, 1u64 << 57),
+            (sets, u64::MAX),
+            (1u64 << 40, 8),
+            (sets, (MAX_ENTRIES as u64 / sets) + 1),
+            (0, 8),
+            (sets, 0),
+        ] {
+            assert!(
+                matches!(load(sets, ways), Err(SnapshotError::Corrupt(_))),
+                "{sets} sets x {ways} ways was accepted"
+            );
+        }
+        assert!(load(sets, 8).is_ok(), "the saved geometry must still load");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Ideal bound, and the extra throughput from deadline-aware
 //! scheduling (§VII-A3).
 
-use accelflow_bench::harness;
+use accelflow_bench::harness::{self, Scale};
 use accelflow_bench::paper;
 use accelflow_bench::sweep;
 use accelflow_bench::table::{pct, ratio, Table};
@@ -14,10 +14,7 @@ use accelflow_workloads::socialnetwork;
 
 fn main() {
     let services = socialnetwork::all();
-    let seed = std::env::var("ACCELFLOW_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
+    let seed = Scale::from_env().seed;
 
     let policies = [
         Policy::NonAcc,

@@ -2,17 +2,14 @@
 //! RNN applications (the RELIEF gem5 suite stand-ins) under RELIEF and
 //! AccelFlow orchestration.
 
-use accelflow_bench::harness;
+use accelflow_bench::harness::{self, Scale};
 use accelflow_bench::paper;
 use accelflow_bench::table::{ratio, Table};
 use accelflow_core::policy::Policy;
 use accelflow_workloads::relief_suite;
 
 fn main() {
-    let seed = std::env::var("ACCELFLOW_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
+    let seed = Scale::from_env().seed;
     let mut t = Table::new(
         "Fig 15: coarse-grain suite max throughput (kRPS)",
         &["application", "RELIEF", "AccelFlow", "gain", "paper avg"],

@@ -13,10 +13,7 @@ use accelflow_workloads::{arrivals, serverless};
 fn main() {
     let functions = serverless::all();
     let mut scale = Scale::from_env();
-    scale.rps = std::env::var("ACCELFLOW_RPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3_500.0);
+    scale.rps = harness::RPS.get().unwrap_or(3_500.0);
     let lib = TraceLibrary::standard();
     let timing =
         ServiceTimeModel::calibrated(accelflow_arch::config::ArchConfig::icelake().core_clock);

@@ -3,7 +3,7 @@
 //! paper runs the services "for 400K requests": faster architectures
 //! drain the batch sooner, so they also spend less static energy).
 
-use accelflow_bench::harness;
+use accelflow_bench::harness::{self, RunVar, Scale};
 use accelflow_bench::paper;
 use accelflow_bench::table::{pct, ratio, Table};
 use accelflow_core::machine::{Machine, MachineConfig};
@@ -13,15 +13,15 @@ use accelflow_workloads::socialnetwork;
 
 fn main() {
     let services = socialnetwork::all();
-    let seed = std::env::var("ACCELFLOW_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
+    let seed = Scale::from_env().seed;
     // Batch size per service (scaled down from the paper's 400K total).
-    let batch_per_service = std::env::var("ACCELFLOW_BATCH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3_000u64);
+    let batch_per_service = RunVar {
+        name: "ACCELFLOW_BATCH",
+        want: "a positive integer",
+        ok: |&n: &u64| n > 0,
+    }
+    .get()
+    .unwrap_or(3_000);
 
     let mut rows = Vec::new();
     for p in [Policy::NonAcc, Policy::Relief, Policy::AccelFlow] {

@@ -10,10 +10,7 @@ use accelflow_workloads::socialnetwork;
 
 fn main() {
     let services = socialnetwork::all();
-    let seed = std::env::var("ACCELFLOW_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
+    let seed = Scale::from_env().seed;
     let peak = harness::max_throughput(Policy::AccelFlow, &services, 5.0, seed);
     println!("peak throughput: {:.1} kRPS/service\n", peak / 1000.0);
     let mut scale = Scale::from_env();

@@ -3,6 +3,8 @@
 //! max-throughput search (paper Fig 14: "the maximum load without
 //! violating the SLO", SLO = 5× the unloaded service execution time).
 
+use std::str::FromStr;
+
 use accelflow_accel::timing::ServiceTimeModel;
 use accelflow_core::arrivals::Arrival;
 use accelflow_core::machine::{Machine, MachineConfig};
@@ -33,28 +35,23 @@ impl Scale {
     /// The default experiment scale; override with the environment
     /// variables `ACCELFLOW_DURATION_MS`, `ACCELFLOW_RPS`, and
     /// `ACCELFLOW_SEED`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and its value, when one is set but
+    /// unparsable, the duration is zero, or the rate is not a finite
+    /// positive number.
     pub fn from_env() -> Self {
-        let ms = std::env::var("ACCELFLOW_DURATION_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(160u64);
-        let rps = std::env::var("ACCELFLOW_RPS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(13_400.0f64);
-        let seed = std::env::var("ACCELFLOW_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(42u64);
+        let ms = DURATION_MS.get().unwrap_or(160);
         Scale {
             duration: SimDuration::from_millis(ms),
             warmup: SimDuration::from_millis((ms / 8).max(2)),
-            rps,
-            seed,
+            rps: RPS.get().unwrap_or(13_400.0),
+            seed: SEED.get().unwrap_or(42),
         }
     }
 
-    /// A small scale for tests and criterion benches.
+    /// A small scale for tests and the performance gate.
     pub fn quick() -> Self {
         Scale {
             duration: SimDuration::from_millis(40),
@@ -64,6 +61,61 @@ impl Scale {
         }
     }
 }
+
+/// One `ACCELFLOW_*` run variable and the values it accepts.
+pub struct RunVar<T> {
+    /// The environment variable's name.
+    pub name: &'static str,
+    /// What `ok` accepts, in words, for the refusal message.
+    pub want: &'static str,
+    /// Whether a parsed value is acceptable.
+    pub ok: fn(&T) -> bool,
+}
+
+impl<T: FromStr> RunVar<T> {
+    /// The variable's value from the environment (`None` when unset).
+    /// Surrounding whitespace is ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and its value, when the value does
+    /// not parse as `T` or `ok` refuses it: a mistyped run variable
+    /// must stop the run, not silently run the default.
+    pub fn get(&self) -> Option<T> {
+        self.parse(std::env::var(self.name).ok().as_deref())
+    }
+
+    /// [`RunVar::get`] over the raw value (`None` when unset), free of
+    /// the process environment.
+    pub(crate) fn parse(&self, value: Option<&str>) -> Option<T> {
+        let raw = value?;
+        match raw.trim().parse::<T>() {
+            Ok(v) if (self.ok)(&v) => Some(v),
+            _ => panic!("{}={raw:?} is not {}", self.name, self.want),
+        }
+    }
+}
+
+/// `ACCELFLOW_SEED`: the RNG seed.
+const SEED: RunVar<u64> = RunVar {
+    name: "ACCELFLOW_SEED",
+    want: "a non-negative integer",
+    ok: |_| true,
+};
+
+/// `ACCELFLOW_DURATION_MS`: the arrival window in milliseconds.
+const DURATION_MS: RunVar<u64> = RunVar {
+    name: "ACCELFLOW_DURATION_MS",
+    want: "a positive number of milliseconds",
+    ok: |&ms| ms > 0,
+};
+
+/// `ACCELFLOW_RPS`: the mean requests/second per service.
+pub const RPS: RunVar<f64> = RunVar {
+    name: "ACCELFLOW_RPS",
+    want: "a finite positive rate",
+    ok: |rps| rps.is_finite() && *rps > 0.0,
+};
 
 /// A machine config at this scale for a policy.
 pub fn machine_config(policy: Policy, scale: Scale) -> MachineConfig {
@@ -183,8 +235,7 @@ pub fn max_throughput_with(
 /// `warm = false` every probe re-simulates the shared prefix instead of
 /// forking it from a snapshot — same two-phase code path, byte-identical
 /// results (pinned in the bench determinism suite), just slower. The
-/// cold mode is the honest baseline for the warm-start speedup row in
-/// `docs/BENCHMARKS.md`.
+/// cold mode is the baseline a warm-start speedup is measured against.
 pub fn max_throughput_with_mode(
     cfg: &MachineConfig,
     services: &[ServiceSpec],
@@ -511,6 +562,45 @@ mod tests {
         assert!(s.duration > s.warmup);
         let d = Scale::from_env();
         assert!(d.rps > 0.0);
+    }
+
+    #[test]
+    fn run_vars_accept_well_formed_values() {
+        assert_eq!(SEED.parse(None), None);
+        assert_eq!(SEED.parse(Some(" 9 ")), Some(9));
+        assert_eq!(DURATION_MS.parse(Some("20")), Some(20));
+        assert_eq!(RPS.parse(Some("2500")), Some(2500.0));
+        assert_eq!(RPS.parse(Some("0.5")), Some(0.5));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "ACCELFLOW_DURATION_MS=\"20ms\" is not a positive number of milliseconds"
+    )]
+    fn unparsable_duration_is_refused() {
+        DURATION_MS.parse(Some("20ms"));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "ACCELFLOW_DURATION_MS=\"0\" is not a positive number of milliseconds"
+    )]
+    fn zero_duration_is_refused() {
+        DURATION_MS.parse(Some("0"));
+    }
+
+    #[test]
+    fn degenerate_rates_are_refused() {
+        for bad in ["0", "-5", "NaN", "inf", "fast"] {
+            let refused = std::panic::catch_unwind(|| RPS.parse(Some(bad))).is_err();
+            assert!(refused, "ACCELFLOW_RPS={bad} was accepted");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ACCELFLOW_SEED=\"-1\" is not a non-negative integer")]
+    fn negative_seed_is_refused() {
+        SEED.parse(Some("-1"));
     }
 }
 

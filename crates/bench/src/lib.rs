@@ -2,8 +2,9 @@
 //! paper's evaluation (see DESIGN.md §4 for the full index).
 //!
 //! Each `src/bin/` binary reproduces one table or figure and prints a
-//! paper-vs-measured comparison; `benches/` holds criterion benchmarks
-//! over the simulator's hot paths and scaled-down experiment runs.
+//! paper-vs-measured comparison. `tests/perf_gate.rs` is the in-process
+//! performance gate; `perfbench/` (its own workspace) is the benchmark
+//! that performance claims cite.
 //!
 //! - [`harness`] — standard run configurations, the max-throughput
 //!   (SLO-bounded) search, and experiment plumbing.

@@ -44,6 +44,8 @@ use accelflow_core::stats::RunReport;
 use accelflow_core::Arrival;
 use accelflow_sim::time::{SimDuration, SimTime};
 
+use crate::harness::RunVar;
+
 /// The no-op event observer warm-start forks run under (a fn pointer,
 /// so restore-vs-replay arms share one [`MachineRun`] type).
 type NoObserve = fn(SimTime, &Ev);
@@ -55,12 +57,24 @@ thread_local! {
     static IN_SWEEP: Cell<bool> = const { Cell::new(false) };
 }
 
-/// The sweep's worker-thread budget: `ACCELFLOW_THREADS` if set (values
-/// below 1 are treated as 1), else the machine's available parallelism.
+/// `ACCELFLOW_THREADS`: the sweep's worker-thread budget.
+const THREADS: RunVar<usize> = RunVar {
+    name: "ACCELFLOW_THREADS",
+    want: "a non-negative integer",
+    ok: |_| true,
+};
+
+/// The sweep's worker-thread budget: `ACCELFLOW_THREADS` if set (0 is
+/// treated as 1), else the machine's available parallelism.
+///
+/// # Panics
+///
+/// Panics, naming the variable, when `ACCELFLOW_THREADS` is not a
+/// non-negative integer.
 pub fn parallelism() -> usize {
-    match std::env::var("ACCELFLOW_THREADS") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => std::thread::available_parallelism()
+    match THREADS.get() {
+        Some(n) => n.max(1),
+        None => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
     }
@@ -173,15 +187,13 @@ impl Shard {
     /// [`Shard::from_env`] over the raw variable values (`None` when
     /// unset), free of the process environment.
     fn parse(count: Option<&str>, index: Option<&str>) -> Self {
-        let read = |var: &str, value: Option<&str>, default: usize| {
-            value.map_or(default, |v| {
-                v.trim()
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| panic!("{var}={v:?} is not a non-negative integer"))
-            })
+        let var = |name| RunVar {
+            name,
+            want: "a non-negative integer",
+            ok: |_: &usize| true,
         };
-        let count = read("ACCELFLOW_SHARDS", count, 1);
-        let index = read("ACCELFLOW_SHARD_INDEX", index, 0);
+        let count = var("ACCELFLOW_SHARDS").parse(count).unwrap_or(1);
+        let index = var("ACCELFLOW_SHARD_INDEX").parse(index).unwrap_or(0);
         assert!(count >= 1, "ACCELFLOW_SHARDS=0 must be at least 1");
         assert!(
             index < count,
@@ -243,8 +255,8 @@ where
 /// the snapshot and appends its tail. In cold mode every fork
 /// re-simulates the prefix — same two-phase code path, no snapshot —
 /// which is what makes warm-vs-cold byte-equality a meaningful check
-/// of the snapshot subsystem (and the cold mode the honest baseline
-/// for the warm-start speedup in `docs/BENCHMARKS.md`).
+/// of the snapshot subsystem (and the cold mode the baseline a
+/// warm-start speedup is measured against).
 pub struct WarmStart {
     cfg: MachineConfig,
     services: Vec<ServiceSpec>,
@@ -456,8 +468,13 @@ mod tests {
     #[test]
     fn env_parsing_clamps_to_one() {
         with_threads("0", || assert_eq!(parallelism(), 1));
-        with_threads("garbage", || assert_eq!(parallelism(), 1));
         with_threads("3", || assert_eq!(parallelism(), 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "ACCELFLOW_THREADS=\"garbage\" is not a non-negative integer")]
+    fn unparsable_thread_count_is_refused() {
+        THREADS.parse(Some("garbage"));
     }
 
     #[test]
